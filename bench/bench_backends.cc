@@ -6,7 +6,7 @@
  *
  * Every registry workload is compiled once with the paper's
  * composition strategy, then executed on every registered backend
- * (exec::backendRegistry(): tier x parallel strategy x simd). Each
+ * (exec::backendRegistry(): tier x parallel strategy). Each
  * backend row records latency (best of reps) *and* numerical
  * deviation against the interpreter reference — max absolute
  * difference and max ULP distance over every buffer — plus whether
@@ -173,8 +173,6 @@ measureWorkload(const driver::WorkloadSpec &spec,
             pt.degraded = r.fallbackReason;
         else if (!r.parFallbackReason.empty())
             pt.degraded = r.parFallbackReason;
-        else if (!r.simdFallbackReason.empty())
-            pt.degraded = r.simdFallbackReason;
 
         pt.ms = r.stats.seconds * 1e3;
         for (int rep = 1; rep < reps; ++rep) {
@@ -301,8 +299,6 @@ main(int argc, char **argv)
         // consumer not to read them as one.
         out += ", \"singleCore\": ";
         out += single_core ? "true" : "false";
-        out += ", \"simdWidth\": " +
-               std::to_string(exec::simdWidth());
         out += ", \"nativeToolchain\": ";
         out += with_native ? "true" : "false";
         out += ", \"workloads\": [";

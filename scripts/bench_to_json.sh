@@ -28,10 +28,10 @@
 #   BENCH_backends.json       backend registry sweep: per-workload
 #                             latency and numerical deviation
 #                             (maxAbs/maxUlp vs the interpreter) for
-#                             every registered backend (tier x par x
-#                             simd), with per-backend contract
-#                             verdicts, simdWidth, hardwareThreads
-#                             and the singleCore flag
+#                             every registered backend (tier x
+#                             par), with per-backend contract
+#                             verdicts, hardwareThreads and the
+#                             singleCore flag
 #   BENCH_service.json        compile-service robustness baseline:
 #                             p50/p95/p99 client-observed latency for
 #                             warm compile+run and ping requests,

@@ -97,10 +97,6 @@ usage(FILE *to)
         "                        with --exec native, compiles a\n"
         "                        tile-team over coincident bands;\n"
         "                        implies --run)\n"
-        "  --simd on|off         vectorized bytecode fast path for\n"
-        "                        unit-stride inner loops (selected\n"
-        "                        per loop, bit-identical to scalar;\n"
-        "                        implies --run)\n"
         "  --cache               consult/populate the process-wide\n"
         "                        kernel cache (fingerprint-keyed;\n"
         "                        repeat compiles of the same program\n"
@@ -266,7 +262,6 @@ main(int argc, char **argv)
     exec::Tier tier = exec::Tier::Bytecode;
     unsigned run_threads = 1;
     exec::ParStrategy par = exec::ParStrategy::Off;
-    exec::SimdMode simd = exec::SimdMode::Off;
     bool use_cache = false;
     uint64_t cache_bytes = 0;
     unsigned repeatN = 1;
@@ -414,15 +409,6 @@ main(int argc, char **argv)
             if (!exec::parseParStrategy(name, &par)) {
                 std::fprintf(stderr,
                              "polyfuse: unknown --par '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-            do_run = true;
-        } else if (arg == "--simd") {
-            std::string name = value(i);
-            if (!exec::parseSimdMode(name, &simd)) {
-                std::fprintf(stderr,
-                             "polyfuse: unknown --simd '%s'\n",
                              name.c_str());
                 return 2;
             }
@@ -620,7 +606,6 @@ main(int argc, char **argv)
             req.deadlineMs = deadline_ms;
             req.threads = run_threads;
             req.par = exec::parStrategyName(par);
-            req.simd = exec::simdModeName(simd);
         }
         service::Response resp;
         if (!client.call(req, &resp, &err)) {
@@ -773,7 +758,6 @@ main(int argc, char **argv)
     aopts.tier = tier;
     aopts.par = par;
     aopts.parThreads = run_threads;
-    aopts.simd = simd;
     if (use_cache) {
         aopts.cache = &exec::KernelCache::process();
         if (cache_bytes)
@@ -832,7 +816,6 @@ main(int argc, char **argv)
             eopts.tier = tier;
             eopts.threads = run_threads;
             eopts.par = par;
-            eopts.simd = simd;
             try {
                 result =
                     driver::executeKernel(artifact, buffers, eopts);
@@ -853,11 +836,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "polyfuse: parallel run degraded: %s\n",
                              result.parFallbackReason.c_str());
-            if (simd == exec::SimdMode::On &&
-                !result.simdFallbackReason.empty())
-                std::fprintf(stderr,
-                             "polyfuse: simd run degraded: %s\n",
-                             result.simdFallbackReason.c_str());
         }
     }
 
@@ -964,18 +942,6 @@ main(int argc, char **argv)
             run_json +=
                 "\"fallbackReason\": \"" +
                 driver::jsonEscape(result.parFallbackReason) +
-                "\"}, ";
-            std::snprintf(
-                buf, sizeof(buf),
-                "\"simd\": {\"mode\": \"%s\", \"width\": %u, "
-                "\"loops\": %llu, \"lanes\": %llu, ",
-                exec::simdModeName(result.simd), exec::simdWidth(),
-                (unsigned long long)result.stats.simdLoops,
-                (unsigned long long)result.stats.simdLanes);
-            run_json += buf;
-            run_json +=
-                "\"fallbackReason\": \"" +
-                driver::jsonEscape(result.simdFallbackReason) +
                 "\"}}";
             out.insert(out.size() - 1, run_json);
         }
@@ -1013,11 +979,6 @@ main(int argc, char **argv)
                 (unsigned long long)result.par.tilesExecuted,
                 (unsigned long long)result.par.waits,
                 (unsigned long long)result.par.criticalPath);
-        if (result.simd == exec::SimdMode::On)
-            std::printf(", simd x%u (%llu loops, %llu lanes)",
-                        exec::simdWidth(),
-                        (unsigned long long)result.stats.simdLoops,
-                        (unsigned long long)result.stats.simdLanes);
         std::printf("\n");
     }
     return 0;

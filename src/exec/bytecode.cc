@@ -29,19 +29,6 @@ namespace bytecode_detail {
 
 constexpr size_t kMaxRank = 8;
 
-/**
- * Lanes per block of the vectorized inner-loop fast path. The block
- * kernels are plain fixed-trip-count lane loops the compiler can
- * vectorize; 8 lanes give the autovectorizer two 4-wide double ops
- * per tape step on AVX2 (or one 8-wide on AVX-512), 4 keep the
- * blocks tight on baseline SSE2.
- */
-#if defined(__AVX512F__) || defined(__AVX2__)
-constexpr int64_t kSimdWidth = 8;
-#else
-constexpr int64_t kSimdWidth = 4;
-#endif
-
 /** One sparse linear-term pair: coef * vars[slot]. */
 struct LinPair
 {
@@ -166,11 +153,6 @@ struct StmtC
     int32_t loadsPerIter = 0;
     /** Fast-path step slot of the write access (see XOp::Load). */
     int32_t writeStepSlot = -1;
-    /** Statically eligible for the vectorized fast path: every load
-     *  is affine (no LoadIdx, whose indirection defeats the
-     *  base+step form). The per-run dependence check happens at
-     *  selection time (Machine::simdSafe). */
-    bool simdOk = false;
 };
 
 /** One tile-local promotion of an Alloc scope. */
@@ -540,14 +522,10 @@ class Compiler
             sc.maxStack = compileExpr(*s.body(), n, access_map);
         sc.xEnd = int32_t(img_.xinsts.size());
         img_.maxStack = std::max(img_.maxStack, sc.maxStack);
-        sc.simdOk = sc.xBegin != sc.xEnd;
-        for (int32_t x = sc.xBegin; x < sc.xEnd; ++x) {
+        for (int32_t x = sc.xBegin; x < sc.xEnd; ++x)
             if (img_.xinsts[x].op == XOp::Load ||
                 img_.xinsts[x].op == XOp::LoadIdx)
                 ++sc.loadsPerIter;
-            if (img_.xinsts[x].op == XOp::LoadIdx)
-                sc.simdOk = false;
-        }
 
         if (s.writeIndex() >= 0) {
             if (access_map[s.writeIndex()] < 0)
@@ -756,9 +734,6 @@ struct State
     std::vector<std::vector<Storage>> storage;     ///< per tensor
     std::vector<std::vector<std::vector<double>>> scratch;
     std::vector<double> stack;
-    /** Vectorized fast path: kSimdWidth lanes per stack slot (empty
-     *  unless the machine runs with SIMD enabled). */
-    std::vector<double> vecStack;
     /** Inner-loop fast path: offsets/guard values at the loop start
      *  plus per-iteration steps, aligned with Image::xinsts (loads),
      *  Image::stmts (writes/mode) and Image::guards. */
@@ -781,8 +756,8 @@ struct State
 class Machine
 {
   public:
-    Machine(const Image &img, Buffers &buffers, bool simd = false)
-        : img_(img), buffers_(buffers), simd_(simd)
+    Machine(const Image &img, Buffers &buffers)
+        : img_(img), buffers_(buffers)
     {
         st_.vars.assign(img.numVars, 0);
         st_.loopHi.assign(img.loops.size(), 0);
@@ -793,11 +768,6 @@ class Machine
         st_.storage.resize(img.numTensors);
         st_.scratch.resize(img.numTensors);
         st_.stack.assign(std::max(img.maxStack, 1), 0.0);
-        if (simd_)
-            st_.vecStack.assign(
-                size_t(std::max(img.maxStack, 1)) *
-                    size_t(kSimdWidth),
-                0.0);
         st_.innerOff.assign(img.xinsts.size(), 0);
         st_.innerStep.assign(img.xinsts.size(), 0);
         st_.writeOff.assign(img.stmts.size(), 0);
@@ -1349,21 +1319,7 @@ class Machine
         if (loop.stmtEnd - loop.stmtBegin == 1) {
             // Single statement: its pass interval IS the loop.
             const StmtC &sc = img_.stmts[loop.stmtBegin];
-            int64_t d = d_start;
-            if (simd_)
-            if (simd_ && sc.simdOk &&
-                d_end - d + 1 >= kSimdWidth &&
-                simdSafe(loop.stmtBegin, sc)) {
-                ++st_.stats.simdLoops;
-                for (; d + kSimdWidth - 1 <= d_end;
-                     d += kSimdWidth) {
-                    execFastStmtBlock(loop.stmtBegin, sc,
-                                      loop.var, lo, d);
-                    st_.stats.simdLanes += uint64_t(kSimdWidth);
-                }
-            }
-            // Scalar remainder (the whole loop when not selected).
-            for (; d <= d_end; ++d) {
+            for (int64_t d = d_start; d <= d_end; ++d) {
                 st_.vars[loop.var] = lo + d;
                 execFastStmt(loop.stmtBegin, sc, d);
             }
@@ -1457,125 +1413,6 @@ class Machine
                     st_.writeOff[s] +=
                         st_.foldCoef[ac.innerStepSlot] * di;
             }
-        }
-    }
-
-    /**
-     * May the vectorized block path run statement @p s of the
-     * current inner loop? Block execution loads every lane of every
-     * read before storing any lane, so within one kSimdWidth-wide
-     * block, loads never observe same-block stores. That changes
-     * scalar semantics exactly when a *flow* dependence (store at
-     * delta d, load of the same address at delta d+k, k >= 1) falls
-     * inside a block -- k in [1, kSimdWidth-1]. Anti dependences
-     * (k <= -1: the scalar load happens before the conflicting
-     * store) and same-lane read-then-write (k == 0) are preserved by
-     * the load-all-then-store-all order; distances >= kSimdWidth
-     * land in a later block, which runs strictly after this one.
-     * Loads from other tensors cannot alias (disjoint allocations).
-     * Only unit-stride stores are selected (contiguous vector
-     * writes, and wstep == 0 with a same-base load is a scalar
-     * reduction chain); unequal load/store strides over one base
-     * walk incommensurate address sets, which we conservatively
-     * reject rather than solve.
-     */
-    bool
-    simdSafe(int32_t s, const StmtC &sc) const
-    {
-        if (sc.writeAccess < 0)
-            return true; // no store: loads see frozen memory
-        const int64_t wstep = st_.writeStep[s];
-        if (wstep != 1)
-            return false;
-        const double *wbase = st_.accBase[sc.writeAccess];
-        const int64_t woff = st_.writeOff[s];
-        for (int32_t x = sc.xBegin; x < sc.xEnd; ++x) {
-            const XInst &xi = img_.xinsts[x];
-            if (xi.op != XOp::Load)
-                continue;
-            if (st_.accBase[xi.a] != wbase)
-                continue;
-            if (st_.innerStep[x] != wstep)
-                return false;
-            int64_t k = woff - st_.innerOff[x];
-            if (k >= 1 && k < kSimdWidth)
-                return false; // in-block flow dependence
-        }
-        return true;
-    }
-
-    /**
-     * One kSimdWidth-wide block of the single-statement fast path:
-     * lanes d0 .. d0+kSimdWidth-1 of the inner loop, evaluated
-     * slot-parallel on the vector stack. Each lane performs exactly
-     * the scalar operation sequence of execFastStmt -- the lane
-     * loops apply applyUn/applyBin element-wise, never reassociate,
-     * and load/store through the same strength-reduced offsets -- so
-     * block results are bit-identical to scalar execution (the
-     * selection guard simdSafe() rules out in-block dependences).
-     */
-    void
-    execFastStmtBlock(int32_t s, const StmtC &sc, int32_t loop_var,
-                      int64_t lo, int64_t d0)
-    {
-        constexpr int64_t W = kSimdWidth;
-        double *sp = st_.vecStack.data(); // next free slot
-        const XInst *xs = img_.xinsts.data();
-        const int64_t *off = st_.innerOff.data();
-        const int64_t *step = st_.innerStep.data();
-        for (int32_t x = sc.xBegin; x < sc.xEnd; ++x) {
-            const XInst &xi = xs[x];
-            switch (xi.op) {
-              case XOp::Const: {
-                const double v = img_.consts[xi.a];
-                for (int64_t l = 0; l < W; ++l)
-                    sp[l] = v;
-                sp += W;
-                break;
-              }
-              case XOp::Iter: {
-                if (xi.a == loop_var) {
-                    const double base = double(lo + d0 + xi.b);
-                    for (int64_t l = 0; l < W; ++l)
-                        sp[l] = base + double(l);
-                } else {
-                    const double v =
-                        double(st_.vars[xi.a] + xi.b);
-                    for (int64_t l = 0; l < W; ++l)
-                        sp[l] = v;
-                }
-                sp += W;
-                break;
-              }
-              case XOp::Load: {
-                const double *base =
-                    st_.accBase[xi.a] + off[x] + step[x] * d0;
-                const int64_t st = step[x];
-                for (int64_t l = 0; l < W; ++l)
-                    sp[l] = base[st * l];
-                sp += W;
-                break;
-              }
-              case XOp::LoadIdx:
-                panic("simd block on a LoadIdx statement");
-              case XOp::Un:
-                for (int64_t l = 0; l < W; ++l)
-                    sp[l - W] = applyUn(xi.sub, sp[l - W]);
-                break;
-              case XOp::Bin:
-                sp -= W;
-                for (int64_t l = 0; l < W; ++l)
-                    sp[l - W] =
-                        applyBin(xi.sub, sp[l - W], sp[l]);
-                break;
-            }
-        }
-        if (sc.writeAccess >= 0) {
-            // simdSafe admitted unit-stride stores only.
-            double *out = st_.accBase[sc.writeAccess] +
-                          st_.writeOff[s] + st_.writeStep[s] * d0;
-            for (int64_t l = 0; l < W; ++l)
-                out[l] = sp[l - W];
         }
     }
 
@@ -1707,8 +1544,6 @@ class Machine
     const Image &img_;
     Buffers &buffers_;
     State st_;
-    /** Vectorized inner-loop fast path enabled for this run. */
-    bool simd_ = false;
 };
 
 } // namespace bytecode_detail
@@ -1732,27 +1567,6 @@ addStats(ExecStats &a, const ExecStats &b)
     a.loads += b.loads;
     a.stores += b.stores;
     a.guardFails += b.guardFails;
-    a.simdLoops += b.simdLoops;
-    a.simdLanes += b.simdLanes;
-}
-
-/** One SIMD admission per run: the exec.simd.select failpoint lets
- *  the robustness suite fail the selection deterministically; any
- *  failure degrades the whole run to scalar with the reason
- *  recorded (the buffers are untouched at this point). */
-bool
-admitSimd(SimdMode simd, std::string *fallback_reason)
-{
-    if (simd != SimdMode::On)
-        return false;
-    try {
-        failpoints::hit("exec.simd.select");
-    } catch (const std::exception &e) {
-        if (fallback_reason)
-            *fallback_reason = e.what();
-        return false;
-    }
-    return true;
 }
 
 /** How one tile region is executed in a parallel run. */
@@ -1789,19 +1603,12 @@ BytecodeKernel::compile(const Program &program, const AstPtr &ast)
     return BytecodeKernel(compiler.compile());
 }
 
-unsigned
-simdWidth()
-{
-    return unsigned(bytecode_detail::kSimdWidth);
-}
-
 ExecStats
-BytecodeKernel::run(Buffers &buffers, SimdMode simd,
-                    std::string *simd_fallback) const
+BytecodeKernel::run(Buffers &buffers) const
 {
     if (!image_)
         fatal("bytecode: run() on an empty kernel");
-    Machine m(*image_, buffers, admitSimd(simd, simd_fallback));
+    Machine m(*image_, buffers);
     return m.run<false>(nullptr);
 }
 
@@ -1815,22 +1622,11 @@ BytecodeKernel::run(Buffers &buffers, TraceSink &sink) const
 }
 
 ExecStats
-BytecodeKernel::run(Buffers &buffers, const TraceHook &hook) const
-{
-    if (!hook)
-        return run(buffers);
-    HookSink sink(hook);
-    return run(buffers, sink);
-}
-
-ExecStats
 BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
                             ParStrategy strategy,
                             const std::vector<deps::TileBandGraph> *bands,
                             ParRunStats &par,
-                            std::string &fallback_reason,
-                            SimdMode simd,
-                            std::string *simd_fallback) const
+                            std::string &fallback_reason) const
 {
     if (!image_)
         fatal("bytecode: runParallel() on an empty kernel");
@@ -1839,9 +1635,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
     par = ParRunStats{};
     if (threads == 0)
         threads = ThreadPool::defaultThreads();
-    const bool vec = admitSimd(simd, simd_fallback);
-
-    Machine main(img, buffers, vec);
+    Machine main(img, buffers);
 
     // ---- Planning: classification, tile enumeration, DAG build,
     // worker spawn. Strictly read-only on buffers, so any failure
@@ -1987,7 +1781,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
         if (p.mode == RegionMode::Static) {
             pool->parallelFor(
                 0, p.n, 0, [&](int64_t b, int64_t e) {
-                    Machine m(img, buffers, vec);
+                    Machine m(img, buffers);
                     for (int64_t i = b; i < e; ++i)
                         m.runTile(r, &p.tiles[size_t(i) * L]);
                     std::lock_guard<std::mutex> lock(mu);
@@ -2022,7 +1816,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
                 std::min<int64_t>(pool->size(), n));
             for (unsigned w = 0; w < nw; ++w)
                 pool->submit([&, L] {
-                    Machine m(img, buffers, vec);
+                    Machine m(img, buffers);
                     uint64_t my_waits = 0;
                     for (;;) {
                         if (done.load(std::memory_order_acquire) >=

@@ -69,24 +69,11 @@ class BytecodeKernel
 
     bool ok() const { return image_ != nullptr; }
 
-    /**
-     * Execute without tracing (the fast path). With
-     * SimdMode::On, single-statement inner loops whose per-run
-     * dependence check passes execute in compiler-vectorizable
-     * lane blocks with a scalar tail -- still bit-identical to
-     * scalar execution (each lane applies the exact scalar op
-     * sequence; no reassociation). A failed SIMD admission (the
-     * exec.simd.select failpoint) degrades the run to scalar and
-     * records why in @p simd_fallback.
-     */
-    ExecStats run(Buffers &buffers, SimdMode simd = SimdMode::Off,
-                  std::string *simd_fallback = nullptr) const;
+    /** Execute without tracing (the fast path). */
+    ExecStats run(Buffers &buffers) const;
 
     /** Execute, streaming batched trace records into @p sink. */
     ExecStats run(Buffers &buffers, TraceSink &sink) const;
-
-    /** Adapter: per-access hook consumers (legacy signature). */
-    ExecStats run(Buffers &buffers, const TraceHook &hook) const;
 
     /**
      * Execute with up to @p threads workers scheduling the tape's
@@ -107,9 +94,7 @@ class BytecodeKernel
                           ParStrategy strategy,
                           const std::vector<deps::TileBandGraph> *bands,
                           ParRunStats &par,
-                          std::string &fallback_reason,
-                          SimdMode simd = SimdMode::Off,
-                          std::string *simd_fallback = nullptr) const;
+                          std::string &fallback_reason) const;
 
     /** Parallel-schedulable top-level tile regions of the tape. */
     size_t numTileRegions() const;

@@ -5,8 +5,7 @@
 #include <cstring>
 #include <limits>
 
-#include "exec/bytecode.hh"
-#include "exec/native.hh"
+#include "exec/kernel_cache.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
 
@@ -63,41 +62,23 @@ parseParStrategy(const std::string &text, ParStrategy *out)
     return true;
 }
 
-const char *
-simdModeName(SimdMode mode)
-{
-    switch (mode) {
-      case SimdMode::Off: return "off";
-      case SimdMode::On: return "on";
-    }
-    return "?";
-}
-
-bool
-parseSimdMode(const std::string &text, SimdMode *out)
-{
-    if (text == "off")
-        *out = SimdMode::Off;
-    else if (text == "on")
-        *out = SimdMode::On;
-    else
-        return false;
-    return true;
-}
-
 namespace {
 
-ExecStats
-runBytecode(const ir::Program &program, const codegen::AstPtr &ast,
-            Buffers &buffers, const ExecOptions &options,
-            SimdMode simd, std::string *simd_fallback)
+/** The Tier-0 interpreter, with a batched sink adapted per access. */
+ExecResult
+interpret(const ir::Program &program, const codegen::AstPtr &ast,
+          Buffers &buffers, TraceSink *sink)
 {
-    BytecodeKernel kernel = BytecodeKernel::compile(program, ast);
-    if (options.sink)
-        return kernel.run(buffers, *options.sink);
-    if (options.trace)
-        return kernel.run(buffers, options.trace);
-    return kernel.run(buffers, simd, simd_fallback);
+    TraceHook hook;
+    if (sink)
+        hook = [sink](int space, int64_t off, bool w) {
+            TraceRecord r{off, int32_t(space), uint8_t(w ? 1 : 0)};
+            sink->onRecords(&r, 1);
+        };
+    ExecResult result;
+    result.stats = run(program, ast, buffers, hook);
+    result.tier = Tier::Interp;
+    return result;
 }
 
 } // namespace
@@ -106,9 +87,30 @@ ExecResult
 execute(const ir::Program &program, const codegen::AstPtr &ast,
         Buffers &buffers, const ExecOptions &options)
 {
+    if (options.tier == Tier::Interp)
+        return interpret(program, ast, buffers, options.sink);
+    // A transient image over the caller's program (non-owning: it
+    // outlives this call).
+    KernelImage image;
+    image.program = std::shared_ptr<const ir::Program>(
+        &program, [](const ir::Program *) {});
+    image.ast = ast;
+    image.bytecode = BytecodeKernel::compile(program, ast);
+    if (options.tileBands)
+        image.tileBands = *options.tileBands;
+    return execute(image, buffers, options);
+}
+
+ExecResult
+execute(const KernelImage &image, Buffers &buffers,
+        const ExecOptions &options)
+{
+    if (options.tier == Tier::Interp)
+        return interpret(*image.program, image.ast, buffers,
+                         options.sink);
     ExecResult result;
     Tier tier = options.tier;
-    bool tracing = options.sink || options.trace;
+    bool tracing = options.sink != nullptr;
     bool want_par = options.par != ParStrategy::Off;
 
     if (tier == Tier::Native && tracing) {
@@ -119,14 +121,14 @@ execute(const ir::Program &program, const codegen::AstPtr &ast,
     }
 
     if (tier == Tier::Native) {
-        NativeKernel kernel;
+        // The parallel-native ladder: parallel compile -> sequential
+        // native -> bytecode, each step with the reason recorded,
+        // and every decision taken before anything executes (the
+        // same planning-before-execution contract runParallel
+        // keeps).
+        std::string reason;
+        const NativeKernel *kernel = nullptr;
         if (want_par) {
-            // The parallel-native ladder: parallel compile ->
-            // sequential native -> bytecode, each step with the
-            // reason recorded, and every decision taken before
-            // anything executes (the same
-            // planning-before-execution contract runParallel
-            // keeps).
             bool planned = true;
             std::string par_reason;
             try {
@@ -140,93 +142,55 @@ execute(const ir::Program &program, const codegen::AstPtr &ast,
                 nopts.par = options.par;
                 nopts.threads = options.threads;
                 nopts.tileBands = options.tileBands;
-                kernel = NativeKernel::compile(program, ast, nopts);
-                if (!kernel.ok())
-                    par_reason = kernel.reason();
+                kernel = image.ensureNative(nopts, &par_reason);
             }
-            if (!kernel.ok()) {
-                kernel = NativeKernel::compile(program, ast);
-                if (kernel.ok())
+            if (!kernel) {
+                kernel = image.ensureNative(&reason);
+                if (kernel)
                     result.parFallbackReason = par_reason;
-            } else if (kernel.parMode() == NativeParMode::Seq) {
-                result.parFallbackReason = kernel.parReason();
+            } else if (kernel->parMode() == NativeParMode::Seq) {
+                result.parFallbackReason = kernel->parReason();
             } else {
-                result.par.threads = kernel.threads();
+                result.par.threads = kernel->threads();
                 result.par.strategy = options.par;
                 result.par.regionsParallel =
-                    kernel.regionsParallel();
+                    kernel->regionsParallel();
                 result.par.regionsSequential =
-                    kernel.regionsSequential();
+                    kernel->regionsSequential();
                 result.par.criticalPath =
-                    kernel.regionsParallel() ? 1 : 0;
+                    kernel->regionsParallel() ? 1 : 0;
             }
         } else {
-            kernel = NativeKernel::compile(program, ast);
+            kernel = image.ensureNative(&reason);
         }
-        if (kernel.ok()) {
-            if (options.simd == SimdMode::On)
-                result.simdFallbackReason = "native tier relies on "
-                                            "compiler "
-                                            "auto-vectorization";
-            result.stats = kernel.run(buffers);
+        if (kernel) {
+            result.stats = kernel->run(buffers);
             result.tier = Tier::Native;
             return result;
         }
         if (!options.allowFallback)
-            fatal("native tier unavailable: " + kernel.reason());
-        result.fallbackReason = kernel.reason();
+            fatal("native tier unavailable: " + reason);
+        result.fallbackReason = reason;
         result.par = ParRunStats{};
-        tier = Tier::Bytecode;
     }
 
-    if (tier == Tier::Bytecode) {
-        if (want_par && tracing) {
-            result.parFallbackReason =
-                "tracing requires sequential execution";
-            want_par = false;
-        }
-        SimdMode simd = options.simd;
-        if (simd == SimdMode::On && tracing) {
-            result.simdFallbackReason =
-                "tracing requires scalar execution";
-            simd = SimdMode::Off;
-        }
-        if (want_par) {
-            BytecodeKernel kernel =
-                BytecodeKernel::compile(program, ast);
-            result.stats = kernel.runParallel(
-                buffers, options.threads, options.par,
-                options.tileBands, result.par,
-                result.parFallbackReason, simd,
-                &result.simdFallbackReason);
-        } else {
-            result.stats = runBytecode(program, ast, buffers,
-                                       options, simd,
-                                       &result.simdFallbackReason);
-        }
-        if (options.simd == SimdMode::On &&
-            result.simdFallbackReason.empty())
-            result.simd = SimdMode::On;
-        result.tier = Tier::Bytecode;
-        return result;
+    if (want_par && tracing) {
+        result.parFallbackReason =
+            "tracing requires sequential execution";
+        want_par = false;
     }
-
-    if (options.simd == SimdMode::On)
-        result.simdFallbackReason =
-            "simd fast path needs the bytecode tier";
-
-    if (options.sink) {
-        TraceSink &sink = *options.sink;
-        TraceHook hook = [&sink](int space, int64_t off, bool w) {
-            TraceRecord r{off, int32_t(space),
-                          uint8_t(w ? 1 : 0)};
-            sink.onRecords(&r, 1);
-        };
-        result.stats = run(program, ast, buffers, hook);
+    if (want_par) {
+        const auto *bands = options.tileBands ? options.tileBands
+                                              : &image.tileBands;
+        result.stats = image.bytecode.runParallel(
+            buffers, options.threads, options.par, bands, result.par,
+            result.parFallbackReason);
+    } else if (tracing) {
+        result.stats = image.bytecode.run(buffers, *options.sink);
     } else {
-        result.stats = run(program, ast, buffers, options.trace);
+        result.stats = image.bytecode.run(buffers);
     }
-    result.tier = Tier::Interp;
+    result.tier = Tier::Bytecode;
     return result;
 }
 
@@ -234,36 +198,28 @@ const std::vector<BackendSpec> &
 backendRegistry()
 {
     // Every entry promises bit-identity: the native emitters pin
-    // `-ffp-contract=off` and the guarded scalar forms, parallel
-    // tiles write disjoint footprints in program order, and the
-    // vector path applies the exact scalar op sequence per lane.
+    // `-ffp-contract=off` and the guarded scalar forms, and
+    // parallel tiles write disjoint footprints in program order.
     // A future backend that reassociates (e.g. vectorized
     // reductions) registers with bitIdentical = false and a
     // maxAbsResidual bound instead; the sweep then checks the bound
     // and reports the measured deviation.
     static const std::vector<BackendSpec> registry = {
-        {"interp", Tier::Interp, ParStrategy::Off, 1,
-         SimdMode::Off, true, 0.0},
-        {"bytecode", Tier::Bytecode, ParStrategy::Off, 1,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-simd", Tier::Bytecode, ParStrategy::Off, 1,
-         SimdMode::On, true, 0.0},
+        {"interp", Tier::Interp, ParStrategy::Off, 1, true, 0.0},
+        {"bytecode", Tier::Bytecode, ParStrategy::Off, 1, true, 0.0},
         {"bytecode-par2", Tier::Bytecode, ParStrategy::Static, 2,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-par4", Tier::Bytecode, ParStrategy::Static, 4,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-graph2", Tier::Bytecode, ParStrategy::Graph, 2,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-graph4", Tier::Bytecode, ParStrategy::Graph, 4,
-         SimdMode::Off, true, 0.0},
-        {"bytecode-par4-simd", Tier::Bytecode, ParStrategy::Static,
-         4, SimdMode::On, true, 0.0},
-        {"native", Tier::Native, ParStrategy::Off, 1, SimdMode::Off,
          true, 0.0},
-        {"native-par2", Tier::Native, ParStrategy::Static, 2,
-         SimdMode::Off, true, 0.0},
-        {"native-par4", Tier::Native, ParStrategy::Static, 4,
-         SimdMode::Off, true, 0.0},
+        {"bytecode-par4", Tier::Bytecode, ParStrategy::Static, 4,
+         true, 0.0},
+        {"bytecode-graph2", Tier::Bytecode, ParStrategy::Graph, 2,
+         true, 0.0},
+        {"bytecode-graph4", Tier::Bytecode, ParStrategy::Graph, 4,
+         true, 0.0},
+        {"native", Tier::Native, ParStrategy::Off, 1, true, 0.0},
+        {"native-par2", Tier::Native, ParStrategy::Static, 2, true,
+         0.0},
+        {"native-par4", Tier::Native, ParStrategy::Static, 4, true,
+         0.0},
     };
     return registry;
 }
@@ -284,7 +240,6 @@ backendOptions(const BackendSpec &spec)
     options.tier = spec.tier;
     options.par = spec.par;
     options.threads = spec.threads;
-    options.simd = spec.simd;
     return options;
 }
 

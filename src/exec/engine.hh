@@ -73,32 +73,6 @@ const char *parStrategyName(ParStrategy strategy);
  *  anything else. */
 bool parseParStrategy(const std::string &text, ParStrategy *out);
 
-/**
- * Whether the bytecode tier may take its vectorized fast path over
- * unit-stride interval-solved inner loops (see exec/bytecode.hh).
- * Off is the default; On enables per-loop selection with a scalar
- * tail. The vector path executes lanes block-wise with the exact
- * scalar operation sequence per lane -- no reassociation -- so it
- * stays bit-identical to scalar execution.
- */
-enum class SimdMode
-{
-    Off,
-    On,
-};
-
-/** Stable lower-case name ("off" | "on"). */
-const char *simdModeName(SimdMode mode);
-
-/** Parse a simdModeName() spelling; false (and *out untouched) on
- *  anything else. */
-bool parseSimdMode(const std::string &text, SimdMode *out);
-
-/** Lane width the vectorized bytecode path executes per block (a
- *  compile-time probe of the host ISA: 8 with AVX2/AVX-512, 4
- *  otherwise). */
-unsigned simdWidth();
-
 /** Counters of one parallel run (all zero on sequential runs). */
 struct ParRunStats
 {
@@ -121,8 +95,6 @@ struct ExecOptions
     bool allowFallback = true;
     /** Batched trace consumer (interp/bytecode tiers only). */
     TraceSink *sink = nullptr;
-    /** Legacy per-access trace hook; adapted via HookSink. */
-    TraceHook trace;
     /** Worker threads for parallel strategies (0: hardware count). */
     unsigned threads = 1;
     /** Tile scheduling strategy (bytecode tier only). */
@@ -132,8 +104,6 @@ struct ExecOptions
      *  coincident flags alone do not prove tile independence once
      *  post-tiling fusion introduces extension statements). */
     const std::vector<deps::TileBandGraph> *tileBands = nullptr;
-    /** Vectorized bytecode fast path (bytecode tier only). */
-    SimdMode simd = SimdMode::Off;
 };
 
 /** What execute() did. */
@@ -148,38 +118,35 @@ struct ExecResult
     /** Why a requested parallel strategy degraded to sequential
      *  ("" when it ran as requested). */
     std::string parFallbackReason;
-    /** The SIMD mode that was actually enabled for the run. */
-    SimdMode simd = SimdMode::Off;
-    /** Why a requested SimdMode::On degraded to scalar ("" when it
-     *  ran as requested; per-loop selection still applies). */
-    std::string simdFallbackReason;
 };
 
 /**
- * Execute @p ast over @p buffers on the requested tier. Throws
- * FatalError when fallback is disabled and the tier cannot run, or
- * on program shapes no tier supports.
+ * Execute @p ast over @p buffers on the requested tier. Tier::Interp
+ * runs the interpreter directly; every other tier lowers @p ast to a
+ * transient KernelImage (bytecode plus options.tileBands) and runs
+ * it through execute(const KernelImage &, ...), the one place that
+ * decides tier, par and fallback. Throws FatalError when fallback is
+ * disabled and the tier cannot run, or on program shapes no tier
+ * supports.
  */
 ExecResult execute(const ir::Program &program,
                    const codegen::AstPtr &ast, Buffers &buffers,
                    const ExecOptions &options = {});
 
 /**
- * One named point in the backend space (tier x par x simd) together
- * with its numerical contract. Every registered backend promises
- * either bit-identical buffers against the Tier-0 interpreter
- * (bitIdentical == true; the emitters use `-ffp-contract=off` and
- * the vector path never reassociates) or a bounded L-infinity
- * residual (maxAbsResidual). The differential tests and
- * bench_backends enforce the contract per workload.
+ * One named point in the backend space (tier x par) together with
+ * its numerical contract. Every registered backend promises either
+ * bit-identical buffers against the Tier-0 interpreter
+ * (bitIdentical == true; the emitters use `-ffp-contract=off`) or a
+ * bounded L-infinity residual (maxAbsResidual). The differential
+ * tests and bench_backends enforce the contract per workload.
  */
 struct BackendSpec
 {
-    const char *name;  ///< stable id, e.g. "bytecode-par4-simd"
+    const char *name;  ///< stable id, e.g. "bytecode-graph2"
     Tier tier;
     ParStrategy par;
     unsigned threads;  ///< worker threads when par != Off
-    SimdMode simd;
     bool bitIdentical;     ///< contract: exact buffer equality
     double maxAbsResidual; ///< contract bound when !bitIdentical
 };

@@ -82,8 +82,6 @@ struct ExecStats
     uint64_t loads = 0;
     uint64_t stores = 0;
     uint64_t guardFails = 0; ///< instances suppressed by guards
-    uint64_t simdLoops = 0;  ///< inner-loop runs taken vector-wide
-    uint64_t simdLanes = 0;  ///< statement instances executed in blocks
     double seconds = 0;      ///< wall-clock of the run
 };
 

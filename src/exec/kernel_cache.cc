@@ -3,9 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "support/failpoint.hh"
-#include "support/logging.hh"
-
 namespace polyfuse {
 namespace exec {
 
@@ -87,117 +84,6 @@ estimateImageBytes(const KernelImage &image)
              sizeof(ir::TensorInfo);
     }
     return b;
-}
-
-ExecResult
-execute(const KernelImage &image, Buffers &buffers,
-        const ExecOptions &options)
-{
-    ExecResult result;
-    Tier tier = options.tier;
-    bool tracing = options.sink || options.trace;
-    bool want_par = options.par != ParStrategy::Off;
-
-    if (tier == Tier::Native && tracing) {
-        if (!options.allowFallback)
-            fatal("native tier cannot emit traces");
-        result.fallbackReason = "tracing needs an instrumented tier";
-        tier = Tier::Bytecode;
-    }
-
-    if (tier == Tier::Native) {
-        // Same parallel-native ladder as exec::execute (keep them in
-        // lockstep): parallel compile -> sequential native ->
-        // bytecode, reasons recorded at every step.
-        std::string reason;
-        const NativeKernel *kernel = nullptr;
-        if (want_par) {
-            bool planned = true;
-            std::string par_reason;
-            try {
-                failpoints::hit("exec.native.par.spawn");
-            } catch (const std::exception &e) {
-                planned = false;
-                par_reason = e.what();
-            }
-            if (planned) {
-                NativeOptions nopts;
-                nopts.par = options.par;
-                nopts.threads = options.threads;
-                nopts.tileBands = options.tileBands;
-                kernel = image.ensureNative(nopts, &par_reason);
-            }
-            if (!kernel) {
-                kernel = image.ensureNative(&reason);
-                if (kernel)
-                    result.parFallbackReason = par_reason;
-            } else if (kernel->parMode() == NativeParMode::Seq) {
-                result.parFallbackReason = kernel->parReason();
-            } else {
-                result.par.threads = kernel->threads();
-                result.par.strategy = options.par;
-                result.par.regionsParallel =
-                    kernel->regionsParallel();
-                result.par.regionsSequential =
-                    kernel->regionsSequential();
-                result.par.criticalPath =
-                    kernel->regionsParallel() ? 1 : 0;
-            }
-        } else {
-            kernel = image.ensureNative(&reason);
-        }
-        if (kernel) {
-            if (options.simd == SimdMode::On)
-                result.simdFallbackReason = "native tier relies on "
-                                            "compiler "
-                                            "auto-vectorization";
-            result.stats = kernel->run(buffers);
-            result.tier = Tier::Native;
-            return result;
-        }
-        if (!options.allowFallback)
-            fatal("native tier unavailable: " + reason);
-        result.fallbackReason = reason;
-        result.par = ParRunStats{};
-        tier = Tier::Bytecode;
-    }
-
-    if (tier == Tier::Bytecode) {
-        const auto *bands = options.tileBands ? options.tileBands
-                                              : &image.tileBands;
-        if (want_par && tracing) {
-            result.parFallbackReason =
-                "tracing requires sequential execution";
-            want_par = false;
-        }
-        SimdMode simd = options.simd;
-        if (simd == SimdMode::On && tracing) {
-            result.simdFallbackReason =
-                "tracing requires scalar execution";
-            simd = SimdMode::Off;
-        }
-        if (want_par) {
-            result.stats = image.bytecode.runParallel(
-                buffers, options.threads, options.par, bands,
-                result.par, result.parFallbackReason, simd,
-                &result.simdFallbackReason);
-        } else if (options.sink) {
-            result.stats = image.bytecode.run(buffers, *options.sink);
-        } else if (options.trace) {
-            result.stats = image.bytecode.run(buffers, options.trace);
-        } else {
-            result.stats = image.bytecode.run(buffers, simd,
-                                              &result.simdFallbackReason);
-        }
-        if (options.simd == SimdMode::On &&
-            result.simdFallbackReason.empty())
-            result.simd = SimdMode::On;
-        result.tier = Tier::Bytecode;
-        return result;
-    }
-
-    // Interp tier: no precompiled form to reuse; delegate.
-    return execute(*image.program, image.ast, buffers, options);
 }
 
 KernelCache::KernelCache(uint64_t capacity_bytes, unsigned shards)

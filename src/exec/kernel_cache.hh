@@ -101,11 +101,14 @@ struct KernelImage
 uint64_t estimateImageBytes(const KernelImage &image);
 
 /**
- * Execute a frozen image over @p buffers. Same tier dispatch and
- * fallback semantics as exec::execute(program, ast, ...), but reuses
- * the image's pre-compiled bytecode and memoized native kernel
- * instead of recompiling, and defaults ExecOptions::tileBands to the
- * image's own classifications.
+ * Execute a frozen image over @p buffers: the one tier dispatcher
+ * (defined in engine.cc). It alone decides tier, par and fallback --
+ * native tile team -> sequential native -> bytecode, with the reason
+ * of every step recorded in the ExecResult -- reusing the image's
+ * pre-compiled bytecode and memoized native kernels, and defaulting
+ * ExecOptions::tileBands to the image's own classifications.
+ * exec::execute(program, ast, ...) delegates here through a
+ * transient image.
  */
 ExecResult execute(const KernelImage &image, Buffers &buffers,
                    const ExecOptions &options = {});

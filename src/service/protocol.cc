@@ -232,7 +232,6 @@ encodeRequest(const Request &req)
         out += ", \"deadlineMs\": " + numJson(req.deadlineMs);
     out += ", \"threads\": " + std::to_string(req.threads);
     out += ", \"par\": \"" + json::escape(req.par) + "\"";
-    out += ", \"simd\": \"" + json::escape(req.simd) + "\"";
     return out + "}";
 }
 
@@ -304,10 +303,6 @@ decodeRequest(const std::string &payload, Request *out,
             if (!v.isString())
                 return fail(error, "par must be a string");
             req.par = v.string;
-        } else if (key == "simd") {
-            if (!v.isString())
-                return fail(error, "simd must be a string");
-            req.simd = v.string;
         } else {
             return fail(error, "unknown request field '" + key +
                                    "'");

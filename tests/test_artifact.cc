@@ -173,39 +173,51 @@ TEST(ProgramFingerprint, BackendParametersKeyTheNativeTier)
     auto program = smallConv();
     PipelineOptions base;
     auto fp = [&](exec::Tier tier, exec::ParStrategy par,
-                  unsigned threads, exec::SimdMode simd) {
-        return programFingerprint(*program, base, tier, par,
-                                  threads, simd);
+                  unsigned threads) {
+        return programFingerprint(*program, base, tier, par, threads);
     };
 
     // The tile-team shape is baked into a parallel native TU:
     // strategy-on/off and team size must each change the key.
-    auto native_seq = fp(exec::Tier::Native, exec::ParStrategy::Off,
-                         0, exec::SimdMode::Off);
-    auto native_p2 = fp(exec::Tier::Native,
-                        exec::ParStrategy::Static, 2,
-                        exec::SimdMode::Off);
-    auto native_p4 = fp(exec::Tier::Native,
-                        exec::ParStrategy::Static, 4,
-                        exec::SimdMode::Off);
+    auto native_seq = fp(exec::Tier::Native, exec::ParStrategy::Off, 0);
+    auto native_p2 = fp(exec::Tier::Native, exec::ParStrategy::Static, 2);
+    auto native_p4 = fp(exec::Tier::Native, exec::ParStrategy::Static, 4);
     EXPECT_NE(native_p2, native_seq);
     EXPECT_NE(native_p4, native_seq);
     EXPECT_NE(native_p4, native_p2);
 
-    // The bytecode VM's knobs change no emitted code: par and simd
-    // leave the bytecode key alone, and simd leaves every key
-    // alone (it is a pure runtime flag).
-    auto byte_seq = fp(exec::Tier::Bytecode, exec::ParStrategy::Off,
-                       0, exec::SimdMode::Off);
-    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Static, 4,
-                 exec::SimdMode::Off),
-              byte_seq);
-    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Off, 0,
-                 exec::SimdMode::On),
-              byte_seq);
-    EXPECT_EQ(fp(exec::Tier::Native, exec::ParStrategy::Static, 2,
-                 exec::SimdMode::On),
-              native_p2);
+    // The bytecode VM's par knob changes no emitted code: it leaves
+    // the bytecode key alone.
+    EXPECT_EQ(fp(exec::Tier::Bytecode, exec::ParStrategy::Static, 4),
+              fp(exec::Tier::Bytecode, exec::ParStrategy::Off, 0));
+}
+
+TEST(ProgramFingerprint, GoldenKeysStayStable)
+{
+    // Pinned keys of one registry program at its CLI defaults. The
+    // KernelCache and TuneDb persist these hex spellings, so any
+    // change here orphans every stored entry and must come with a
+    // kFingerprintVersion bump.
+    const WorkloadSpec *spec = findWorkload("harris");
+    ASSERT_NE(spec, nullptr);
+    ir::Program program = spec->make(spec->defaults);
+    PipelineOptions options;
+    options.tileSizes = spec->defaultTiles;
+    EXPECT_EQ(programFingerprint(program, options, exec::Tier::Bytecode)
+                  .hex(),
+              "2cdc2cce5ab4234074a103ae5d2bb1e9");
+    EXPECT_EQ(programFingerprint(program, options, exec::Tier::Native)
+                  .hex(),
+              "a4556f66b8048317ef108fd75f82d971");
+    // native-par2 also mixes the probed parallel toolchain, so its
+    // key is pinned for the OpenMP toolchain only.
+    if (exec::NativeKernel::parallelToolchain() !=
+        exec::NativeParMode::Omp)
+        GTEST_SKIP() << "native-par2 key is pinned for OpenMP hosts";
+    EXPECT_EQ(programFingerprint(program, options, exec::Tier::Native,
+                                 exec::ParStrategy::Static, 2)
+                  .hex(),
+              "61d8c084e1e5ee283efda6598ea68678");
 }
 
 TEST(KernelCache, BackendFlipNeverServesTheWrongKernel)

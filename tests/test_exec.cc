@@ -11,9 +11,12 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "codegen/generate.hh"
 #include "core/compose.hh"
+#include "driver/artifact.hh"
 #include "driver/pipeline.hh"
 #include "driver/registry.hh"
 #include "exec/bytecode.hh"
@@ -489,9 +492,9 @@ compileSmall(const char *name, driver::Strategy strategy,
 }
 
 // ------------------------------------------------------------------
-// Backend registry sweep: every registered backend (tier x par x
-// simd) on every registry workload under every strategy must honor
-// its numerical contract against the Tier-0 interpreter --
+// Backend registry sweep: every registered backend (tier x par) on
+// every registry workload under every strategy must honor its
+// numerical contract against the Tier-0 interpreter --
 // bit-identical buffers when bitIdentical, else maxAbs within
 // maxAbsResidual. (Names carry "Backend" so the TSAN gate in
 // scripts/check.sh runs the multithreaded sweep; the registry covers
@@ -555,18 +558,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BackendRegistry, LookupAndOptionsRoundTrip)
 {
-    EXPECT_GE(backendRegistry().size(), 10u);
-    const BackendSpec *b = findBackend("bytecode-par4-simd");
+    EXPECT_EQ(backendRegistry().size(), 9u);
+    const BackendSpec *b = findBackend("bytecode-par4");
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->tier, Tier::Bytecode);
     EXPECT_EQ(b->par, ParStrategy::Static);
     EXPECT_EQ(b->threads, 4u);
-    EXPECT_EQ(b->simd, SimdMode::On);
     ExecOptions eo = backendOptions(*b);
     EXPECT_EQ(eo.tier, b->tier);
     EXPECT_EQ(eo.par, b->par);
     EXPECT_EQ(eo.threads, b->threads);
-    EXPECT_EQ(eo.simd, b->simd);
     EXPECT_EQ(findBackend("no-such-backend"), nullptr);
 
     // Two thread counts per parallel strategy, so the TSAN gate sees
@@ -575,57 +576,6 @@ TEST(BackendRegistry, LookupAndOptionsRoundTrip)
     EXPECT_NE(findBackend("bytecode-graph2"), nullptr);
     EXPECT_NE(findBackend("native-par2"), nullptr);
     EXPECT_NE(findBackend("native-par4"), nullptr);
-}
-
-TEST(BackendSimd, FastPathEngagesAndReportsLanes)
-{
-    // harris's elementwise stages are unit-stride single-statement
-    // intervals with no same-base loads in vector range: the vector
-    // path must actually select (simdLoops > 0), execute whole lane
-    // blocks, and still be bit-identical -- a silent always-scalar
-    // selection would pass the sweep while measuring nothing. (2mm
-    // cannot engage: its k-innermost reductions have a zero-stride
-    // store, and its init statements fuse with the k loop.)
-    ir::Program p;
-    auto state = compileSmall("harris", driver::Strategy::Ours, p);
-
-    Buffers ref(p);
-    initInputs(p, ref);
-    ExecResult rs = execute(p, state.ast, ref, {});
-
-    Buffers buf(p);
-    initInputs(p, buf);
-    ExecOptions eo;
-    eo.simd = SimdMode::On;
-    ExecResult rv = execute(p, state.ast, buf, eo);
-
-    EXPECT_EQ(rv.simd, SimdMode::On);
-    EXPECT_TRUE(rv.simdFallbackReason.empty())
-        << rv.simdFallbackReason;
-    EXPECT_GT(rv.stats.simdLoops, 0u);
-    EXPECT_GT(rv.stats.simdLanes, 0u);
-    EXPECT_EQ(rv.stats.simdLanes % simdWidth(), 0u);
-    EXPECT_EQ(rs.stats.instances, rv.stats.instances);
-    EXPECT_EQ(rs.stats.loads, rv.stats.loads);
-    EXPECT_EQ(rs.stats.stores, rv.stats.stores);
-    for (size_t t = 0; t < p.tensors().size(); ++t)
-        EXPECT_EQ(ref.data(t), buf.data(t))
-            << "tensor " << p.tensor(t).name;
-
-    // seidel's loop-carried flow dependences must make the per-run
-    // dependence check reject the block path lane-for-lane.
-    ir::Program sp;
-    auto sstate = compileSmall("seidel", driver::Strategy::MinFuse,
-                               sp);
-    Buffers sref(sp);
-    initInputs(sp, sref);
-    execute(sp, sstate.ast, sref, {});
-    Buffers sbuf(sp);
-    initInputs(sp, sbuf);
-    ExecResult rsv = execute(sp, sstate.ast, sbuf, eo);
-    for (size_t t = 0; t < sp.tensors().size(); ++t)
-        EXPECT_EQ(sref.data(t), sbuf.data(t))
-            << "tensor " << sp.tensor(t).name;
 }
 
 TEST(BackendNativePar, ParallelNativeReportsTeamShape)
@@ -705,14 +655,14 @@ TEST(BackendDeviation, MeasuresUlpAndAbsDeviation)
 }
 
 // Fast, TSAN-scaled differential: the instrumented parallel bytecode
-// backends (static and graph at 2 and 4 threads, plus simd under a
-// 4-thread team) against the scalar run, bit-identical, on two
-// workloads with very different tile graphs. The registry-wide
-// BackendSweep carries the same contract but its native pipeline
-// compiles make it minutes-long under TSAN; this suite is the
-// interleaving coverage the race gate actually runs (check.sh picks
-// it up via the Backend* filter, which the AllWorkloads/BackendSweep
-// instantiation prefix deliberately does not match).
+// backends (static and graph at 2 and 4 threads) against the scalar
+// run, bit-identical, on two workloads with very different tile
+// graphs. The registry-wide BackendSweep carries the same contract
+// but its native pipeline compiles make it minutes-long under TSAN;
+// this suite is the interleaving coverage the race gate actually
+// runs (check.sh picks it up via the Backend* filter, which the
+// AllWorkloads/BackendSweep instantiation prefix deliberately does
+// not match).
 TEST(BackendTsanDifferential, ParallelBackendsStayBitIdentical)
 {
     for (const char *name : {"harris", "conv2d"}) {
@@ -725,7 +675,7 @@ TEST(BackendTsanDifferential, ParallelBackendsStayBitIdentical)
 
         for (const char *bname :
              {"bytecode-par2", "bytecode-par4", "bytecode-graph2",
-              "bytecode-graph4", "bytecode-par4-simd"}) {
+              "bytecode-graph4"}) {
             const BackendSpec *b = findBackend(bname);
             ASSERT_NE(b, nullptr) << bname;
             SCOPED_TRACE(std::string(name) + " / " + bname);
@@ -932,12 +882,60 @@ TEST(Engine, DispatchesAndReportsTier)
     // Native + tracing cannot mix: falls back to bytecode.
     Buffers c(p);
     initInputs(p, c);
+    RecordingSink sink;
     ExecOptions nt;
     nt.tier = Tier::Native;
-    nt.trace = [](int, int64_t, bool) {};
+    nt.sink = &sink;
     ExecResult rn = execute(p, state.ast, c, nt);
     EXPECT_EQ(rn.tier, Tier::Bytecode);
     EXPECT_FALSE(rn.fallbackReason.empty());
+    EXPECT_FALSE(sink.recs.empty());
+
+    // The program/AST entry point and driver::executeKernel share one
+    // dispatcher: on a fused and a wavefront workload, given the same
+    // tileBands, they agree on everything the ladder decides. (waits
+    // counts ready-queue spins, which depend on thread timing.)
+    const bool have_cc = NativeKernel::toolchainAvailable();
+    for (auto [name, strategy] :
+         {std::pair{"harris", driver::Strategy::Ours},
+          std::pair{"seidel", driver::Strategy::MinFuse}}) {
+        const driver::WorkloadSpec *ws = driver::findWorkload(name);
+        driver::PipelineOptions popts;
+        popts.strategy = strategy;
+        popts.tileSizes = smallTiles(*ws);
+        auto prog = std::make_shared<const ir::Program>(
+            ws->make(smallParams(name)));
+        driver::KernelArtifact art =
+            driver::compileKernel(driver::Pipeline(popts), prog);
+        for (const char *bname :
+             {"bytecode", "bytecode-graph2", "native", "native-par2"}) {
+            const BackendSpec *bs = findBackend(bname);
+            if (bs->tier == Tier::Native && !have_cc)
+                continue;
+            SCOPED_TRACE(std::string(name) + " / " + bname);
+            ExecOptions eo = backendOptions(*bs);
+            eo.tileBands = &art.image->tileBands;
+            Buffers x(*prog), y(*prog);
+            initInputs(*prog, x);
+            initInputs(*prog, y);
+            ExecResult rx = execute(*prog, art.image->ast, x, eo);
+            ExecResult ry = driver::executeKernel(art, y, eo);
+            EXPECT_EQ(rx.tier, bs->tier) << rx.fallbackReason;
+            EXPECT_EQ(rx.tier, ry.tier);
+            EXPECT_EQ(rx.fallbackReason, ry.fallbackReason);
+            EXPECT_EQ(rx.parFallbackReason, ry.parFallbackReason);
+            EXPECT_EQ(rx.par.threads, ry.par.threads);
+            EXPECT_EQ(rx.par.strategy, ry.par.strategy);
+            EXPECT_EQ(rx.par.regionsParallel, ry.par.regionsParallel);
+            EXPECT_EQ(rx.par.regionsSequential,
+                      ry.par.regionsSequential);
+            EXPECT_EQ(rx.par.tilesExecuted, ry.par.tilesExecuted);
+            EXPECT_EQ(rx.par.criticalPath, ry.par.criticalPath);
+            for (size_t t = 0; t < prog->tensors().size(); ++t)
+                EXPECT_EQ(x.data(t), y.data(t))
+                    << "tensor " << prog->tensor(t).name;
+        }
+    }
 }
 
 TEST(Engine, TierNamesRoundTrip)
@@ -951,7 +949,7 @@ TEST(Engine, TierNamesRoundTrip)
     EXPECT_FALSE(parseTier("jit", &out));
 }
 
-TEST(BytecodeKernel, HookAdapterSeesScratchpadSpaces)
+TEST(BytecodeKernel, SinkSeesScratchpadSpaces)
 {
     ir::Program p = workloads::makeConv2D({12, 10, 3, 3});
     auto graph = deps::DependenceGraph::compute(p);
@@ -964,14 +962,16 @@ TEST(BytecodeKernel, HookAdapterSeesScratchpadSpaces)
     Buffers b(p);
     b.fillPattern(p.tensorId("A"), 7);
     b.fillPattern(p.tensorId("B"), 13);
+    RecordingSink sink;
+    kernel.run(b, sink);
     int nt = p.tensors().size();
     uint64_t local = 0, global = 0;
-    kernel.run(b, [&](int space, int64_t, bool) {
-        if (space >= nt)
+    for (const TraceRecord &r : sink.recs) {
+        if (r.space >= nt)
             ++local;
         else
             ++global;
-    });
+    }
     EXPECT_GT(local, 0u);
     EXPECT_GT(global, 0u);
 }

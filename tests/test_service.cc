@@ -834,7 +834,8 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
         TypedError,     ///< resp.ok == false with the given kind
         OkDegraded,     ///< ok, but the strategy ladder downgraded
         OkBytecodeTier, ///< ok, native degraded to bytecode
-        OkDegradedPar,  ///< ok, parallel planning degraded
+        OkDegradedPar,  ///< ok, parallel planning degraded (on
+                        ///< the native tier for native sites)
         OkUntouched,    ///< site not on the service path: no effect
     };
     struct Case
@@ -889,6 +890,8 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
          ErrorKind::None},
         {"exec.par.tilegraph", failpoints::Action::Error,
          OkDegradedPar, ErrorKind::None},
+        {"exec.native.par.spawn", failpoints::Action::Error,
+         OkDegradedPar, ErrorKind::None},
         // Batch-driver site: not on the service path, so arming it
         // must not disturb a service request.
         {"driver.job.conv2d", failpoints::Action::Fatal, OkUntouched,
@@ -900,6 +903,11 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
     for (const Case &cs : cases) {
         SCOPED_TRACE(std::string(cs.site) + " / " +
                      std::to_string(int(cs.action)));
+        const bool native_par =
+            cs.expect == OkDegradedPar &&
+            std::strncmp(cs.site, "exec.native.", 12) == 0;
+        if (native_par && !exec::NativeKernel::toolchainAvailable())
+            continue; // no native tier to degrade from
         failpoints::set(cs.site, cs.action);
 
         // Unique tiles defeat the kernel cache: a cache hit would
@@ -910,6 +918,8 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
         if (cs.expect == OkBytecodeTier) {
             poisoned.tier = "native";
         } else if (cs.expect == OkDegradedPar) {
+            if (native_par)
+                poisoned.tier = "native";
             poisoned.threads = 2;
             poisoned.par =
                 std::strcmp(cs.site, "exec.par.tilegraph") == 0
@@ -949,7 +959,12 @@ TEST_F(ServiceTest, ChaosSweepEveryFailpointSite)
         }
         case OkDegradedPar: {
             ASSERT_TRUE(resp.ok) << cs.site << ": " << resp.message;
-            // Degraded parallel planning means a sequential run.
+            // Degraded parallel planning means a sequential run on
+            // the requested tier.
+            EXPECT_EQ(resp.tier, poisoned.tier) << cs.site;
+            if (native_par) {
+                EXPECT_EQ(resp.backend, "native") << cs.site;
+            }
             Request ref = poisoned;
             ref.par = "off";
             ref.threads = 1;
