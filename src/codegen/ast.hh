@@ -46,10 +46,25 @@ struct GuardRow
     int64_t constant = 0;
 };
 
+/** What entering a promotion scope copies in from the global
+ *  tensor. */
+enum class CopyIn
+{
+    /** Nothing: codegen proved every cell read under the scope is
+     *  written under it first, so the box starts undefined. */
+    None,
+    /** The whole box, so cells read before any write under the
+     *  scope see the global values. */
+    Full,
+};
+
 /** Tile-local buffer promotion attached to an Alloc node. */
 struct Promotion
 {
     int tensor = -1;
+    /** Decided once at codegen. Compiled tiers honour it; the
+     *  interpreter always copies the full box (it is the oracle). */
+    CopyIn copyIn = CopyIn::Full;
     /** Per tensor dim: min over alternatives of max over terms. */
     std::vector<std::vector<BoundAlt>> boxLo;
     /** Per tensor dim: max over alternatives of min over terms

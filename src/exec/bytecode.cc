@@ -162,6 +162,8 @@ struct PromoC
     int32_t rank = 0;
     /** 2 * rank Bounds in Image::boxBounds: lo dims then hi dims. */
     int32_t boxBase = 0;
+    /** Codegen's copy-in plan (Promotion::copyIn). */
+    bool copyIn = true;
 };
 
 struct AllocC
@@ -560,6 +562,7 @@ class Compiler
                 if (pc.rank > int32_t(kMaxRank))
                     fatal("bytecode: promotion rank exceeds limit");
                 pc.boxBase = int32_t(img_.boxBounds.size());
+                pc.copyIn = promo.copyIn == codegen::CopyIn::Full;
                 for (const auto &lo : promo.boxLo)
                     img_.boxBounds.push_back(makeBound(lo));
                 for (const auto &hi : promo.boxHi)
@@ -732,7 +735,9 @@ struct State
     std::vector<double *> accBase;
     std::vector<int32_t> accSpace;
     std::vector<std::vector<Storage>> storage;     ///< per tensor
-    std::vector<std::vector<std::vector<double>>> scratch;
+    /** Per Image::promos entry: its scratchpad, reused by every
+     *  entry of its scope and only ever grown. */
+    std::vector<std::vector<double>> scratch;
     std::vector<double> stack;
     /** Inner-loop fast path: offsets/guard values at the loop start
      *  plus per-iteration steps, aligned with Image::xinsts (loads),
@@ -766,7 +771,7 @@ class Machine
         st_.accBase.assign(img.accesses.size(), nullptr);
         st_.accSpace.assign(img.accesses.size(), 0);
         st_.storage.resize(img.numTensors);
-        st_.scratch.resize(img.numTensors);
+        st_.scratch.resize(img.promos.size());
         st_.stack.assign(std::max(img.maxStack, 1), 0.0);
         st_.innerOff.assign(img.xinsts.size(), 0);
         st_.innerStep.assign(img.xinsts.size(), 0);
@@ -1497,12 +1502,17 @@ class Machine
                                    : s.strides[d + 1] *
                                          std::max<int64_t>(
                                              s.extents[d + 1], 0);
-            std::vector<double> data(
-                size_t(std::max<int64_t>(size, 0)), 0.0);
+            // Cells a CopyIn::None scope reads are written under it
+            // first, so a reused scratchpad needs no zero-fill. A
+            // growing one drops its old block before taking the new.
+            std::vector<double> &data = st_.scratch[size_t(p)];
+            if (int64_t(data.size()) < size) {
+                std::vector<double>().swap(data);
+                data.resize(size_t(size));
+            }
             s.base = data.data();
-            if (size > 0)
-                copyIn(pc, s, data);
-            st_.scratch[pc.tensor].push_back(std::move(data));
+            if (size > 0 && pc.copyIn)
+                copyIn(pc, s);
             st_.storage[pc.tensor].push_back(s);
             for (int32_t a : img_.accessesByTensor[pc.tensor])
                 refold(a);
@@ -1510,22 +1520,29 @@ class Machine
     }
 
     /** Copy-in: producers may read live input values. Reads the
-     *  global buffer directly (no trace), like the interpreter. */
+     *  global buffer directly (no trace), like the interpreter, one
+     *  contiguous row at a time. */
     void
-    copyIn(const PromoC &pc, const Storage &s,
-           std::vector<double> &data)
+    copyIn(const PromoC &pc, const Storage &s)
     {
-        const auto &global = buffers_.data(pc.tensor);
+        const double *global = buffers_.data(pc.tensor).data();
+        if (pc.rank == 0) {
+            s.base[0] = global[0];
+            return;
+        }
         const auto &gstr = buffers_.strides(pc.tensor);
-        int64_t n = int64_t(data.size());
-        for (int64_t i = 0; i < n; ++i) {
-            int64_t rem = i, goff = 0;
-            for (int32_t d = pc.rank; d-- > 0;) {
-                int64_t coord = s.origin[d] + rem % s.extents[d];
+        const int32_t last = pc.rank - 1;
+        int64_t rows = 1;
+        for (int32_t d = 0; d < last; ++d)
+            rows *= s.extents[d];
+        const int64_t n = s.extents[last];
+        for (int64_t r = 0; r < rows; ++r) {
+            int64_t rem = r, goff = s.origin[last];
+            for (int32_t d = last; d-- > 0;) {
+                goff += (s.origin[d] + rem % s.extents[d]) * gstr[d];
                 rem /= s.extents[d];
-                goff += coord * gstr[d];
             }
-            data[size_t(i)] = global[size_t(goff)];
+            std::copy_n(global + goff, n, s.base + r * n);
         }
     }
 
@@ -1535,7 +1552,6 @@ class Machine
         for (int32_t p = al.promoBegin; p < al.promoEnd; ++p) {
             const PromoC &pc = img_.promos[p];
             st_.storage[pc.tensor].pop_back();
-            st_.scratch[pc.tensor].pop_back();
             for (int32_t a : img_.accessesByTensor[pc.tensor])
                 refold(a);
         }

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "codegen/cprinter.hh"
 #include "driver/pipeline.hh"
+#include "driver/registry.hh"
+#include "pres/set.hh"
 #include "workloads/conv2d.hh"
 
 namespace polyfuse {
@@ -167,6 +172,215 @@ TEST_F(ConvCodegen, GuardsAppearForUnionBounds)
         };
     walk(state.ast);
     EXPECT_GT(guarded, 0u);
+}
+
+// ------------------------------------------------------------------
+// Static promotion coverage: every Promotion box contains the read
+// and write footprint of its scope, proven with pres set inclusion
+// (parametric in the loop variables enclosing the scope, at the
+// program's parameter values) instead of relying on the runtime
+// "scratchpad read outside promoted box" check.
+// ------------------------------------------------------------------
+
+/**
+ * Sets over the tensor index of one promotion, parametric in the loop
+ * vars enclosing its scope: columns [index (rank) | inner loop vars |
+ * outer loop vars (params) | 1].
+ */
+class BoxCoverage
+{
+  public:
+    BoxCoverage(const ir::Program &p, unsigned rank, unsigned nv,
+                const std::vector<int> &outer)
+        : prog_(p), rank_(rank), col_(nv, -1)
+    {
+        std::vector<std::string> params;
+        for (int v : outer) {
+            col_[v] = int(params.size());
+            params.push_back("v" + std::to_string(v));
+        }
+        for (unsigned v = 0; v < nv; ++v)
+            if (col_[v] < 0)
+                col_[v] = int(inner_++);
+        // Outer columns sit after the inner ones.
+        for (int v : outer)
+            col_[v] += int(inner_);
+        for (unsigned v = 0; v < nv; ++v)
+            col_[v] += int(rank);
+        space_ = pres::Space::forSet("box", rank + inner_, params);
+        width_ = rank + nv + 1;
+        for (const auto &name : p.params())
+            paramValues_.push_back(p.paramValue(name));
+    }
+
+    /** The cells access @p acc of Stmt node @p n touches, at the
+     *  loop-var values where its guards hold, inner vars projected
+     *  out. */
+    pres::Set
+    footprint(const AstNode &n, const ir::Access &acc) const
+    {
+        pres::BasicSet set(space_);
+        for (const auto &g : n.guards) {
+            pres::Constraint c(g.isEq, row());
+            for (size_t v = 0; v < g.varCoeffs.size(); ++v)
+                c.coeffs[col_[v]] = g.varCoeffs[v];
+            c.coeffs.back() = g.constant + paramSum(g.paramCoeffs);
+            set.addConstraint(c);
+        }
+        const pres::Space &asp = acc.rel.space();
+        for (const auto &ac : acc.rel.constraints()) {
+            pres::Constraint c(ac.isEq, row());
+            int64_t k = ac.constant();
+            for (unsigned i = 0; i < asp.numIn(); ++i) {
+                // Instance dim i is loop var + offset.
+                const auto &[var, off] = n.bindings[i];
+                c.coeffs[col_[var]] += ac.coeffs[asp.inCol(i)];
+                k += ac.coeffs[asp.inCol(i)] * off;
+            }
+            for (unsigned j = 0; j < rank_; ++j)
+                c.coeffs[j] = ac.coeffs[asp.outCol(j)];
+            for (unsigned q = 0; q < asp.numParams(); ++q)
+                k += ac.coeffs[asp.paramCol(q)] *
+                     prog_.paramValue(asp.params()[q]);
+            c.coeffs.back() = k;
+            set.addConstraint(c);
+        }
+        // Projection over-approximates at worst: still sound here.
+        return pres::Set(set.projectOut(rank_, inner_));
+    }
+
+    /** The cells dim @p d of the box admits from below (@p lower)
+     *  or above: a union over the bound's alternatives. */
+    pres::Set
+    side(const std::vector<BoundAlt> &alts, unsigned d,
+         bool lower) const
+    {
+        pres::Space sp = pres::Space::forSet("box", rank_,
+                                             space_.params());
+        pres::Set out;
+        for (const auto &alt : alts) {
+            pres::BasicSet piece(sp);
+            for (const auto &t : alt) {
+                // lower: idx >= ceil(e / div); upper: idx <= floor.
+                int64_t sign = lower ? -1 : 1;
+                pres::Constraint c(false, pres::CoeffRow(
+                                              sp.numCols(), 0));
+                c.coeffs[d] = -sign * t.div;
+                for (size_t v = 0; v < t.varCoeffs.size(); ++v)
+                    if (t.varCoeffs[v] != 0)
+                        c.coeffs[col_[v] - inner_] =
+                            sign * t.varCoeffs[v];
+                c.coeffs.back() =
+                    sign * (t.constant + paramSum(t.paramCoeffs));
+                piece.addConstraint(c);
+            }
+            out.addPiece(piece);
+        }
+        return out;
+    }
+
+  private:
+    pres::CoeffRow row() const { return pres::CoeffRow(width_, 0); }
+
+    int64_t
+    paramSum(const std::vector<int64_t> &coeffs) const
+    {
+        int64_t k = 0;
+        for (size_t q = 0; q < coeffs.size(); ++q)
+            k += coeffs[q] * paramValues_[q];
+        return k;
+    }
+
+    const ir::Program &prog_;
+    unsigned rank_;
+    unsigned inner_ = 0;
+    unsigned width_ = 0;
+    std::vector<int> col_; ///< column of each loop var
+    pres::Space space_;
+    std::vector<int64_t> paramValues_;
+};
+
+/** Stmt nodes under @p n. */
+void
+collectStmtNodes(const AstPtr &n, std::vector<const AstNode *> &out)
+{
+    if (!n)
+        return;
+    if (n->kind == AstKind::Stmt)
+        out.push_back(n.get());
+    for (const auto &c : n->children)
+        collectStmtNodes(c, out);
+}
+
+/** Alloc nodes under @p n, each with the loop vars enclosing it. */
+void
+collectAllocs(const AstPtr &n, std::vector<int> &vars,
+              std::vector<std::pair<const AstNode *, std::vector<int>>>
+                  &out)
+{
+    if (!n)
+        return;
+    if (n->kind == AstKind::Alloc)
+        out.emplace_back(n.get(), vars);
+    if (n->kind == AstKind::For)
+        vars.push_back(n->var);
+    for (const auto &c : n->children)
+        collectAllocs(c, vars, out);
+    if (n->kind == AstKind::For)
+        vars.pop_back();
+}
+
+TEST(PromotionBoxes, CoverEveryAccessOfTheirScopeOnTheRegistry)
+{
+    unsigned proven = 0;
+    for (const auto &spec : driver::workloadRegistry()) {
+        ir::Program p = spec.make(spec.defaults);
+        for (driver::Strategy strategy :
+             {driver::Strategy::Ours, driver::Strategy::PolyMage}) {
+            driver::PipelineOptions popts;
+            popts.strategy = strategy;
+            popts.tileSizes = spec.defaultTiles;
+            auto state = driver::Pipeline(popts).run(p);
+            unsigned nv = unsigned(std::max(state.ast->numLoopVars, 0));
+            std::vector<int> vars;
+            std::vector<std::pair<const AstNode *, std::vector<int>>>
+                allocs;
+            collectAllocs(state.ast, vars, allocs);
+            for (const auto &[alloc, outer] : allocs) {
+                std::vector<const AstNode *> stmts;
+                for (const auto &c : alloc->children)
+                    collectStmtNodes(c, stmts);
+                for (const Promotion &promo : alloc->promotions) {
+                    unsigned rank = p.tensor(promo.tensor).rank;
+                    SCOPED_TRACE(std::string(spec.name) + " / " +
+                                 driver::strategyName(strategy) +
+                                 " / " + p.tensor(promo.tensor).name);
+                    BoxCoverage cov(p, rank, nv, outer);
+                    std::vector<pres::Set> sides;
+                    for (unsigned d = 0; d < rank; ++d) {
+                        sides.push_back(
+                            cov.side(promo.boxLo[d], d, true));
+                        sides.push_back(
+                            cov.side(promo.boxHi[d], d, false));
+                    }
+                    for (const AstNode *n : stmts) {
+                        const ir::Statement &s = p.statement(n->stmt);
+                        for (const auto &acc : s.accesses()) {
+                            if (acc.tensor != promo.tensor)
+                                continue;
+                            pres::Set fp = cov.footprint(*n, acc);
+                            for (const pres::Set &side : sides)
+                                EXPECT_TRUE(fp.isSubset(side))
+                                    << s.name() << " escapes the box";
+                        }
+                    }
+                    ++proven;
+                }
+            }
+        }
+    }
+    // 50 promotions under `ours` alone; PolyMage adds more.
+    EXPECT_GE(proven, 50u);
 }
 
 } // namespace
