@@ -220,7 +220,8 @@ evaluateCandidate(const ir::Program &p,
     copts.tileSizes = tiles;
     copts.targetParallelism = target_parallelism;
     auto r = core::compose(p, g, copts);
-    auto ast = codegen::generateAst(r.tree);
+    std::vector<codegen::GeneratedBand> bands;
+    auto ast = codegen::generateAst(r.tree, {}, bands, g);
 
     exec::Buffers buf(p);
     init(buf);
