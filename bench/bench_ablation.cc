@@ -23,14 +23,10 @@
  */
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
-#include <thread>
 
-#include "bench/common.hh"
+#include "bench/harness.hh"
 #include "driver/registry.hh"
-#include "exec/native.hh"
-#include "workloads/equake.hh"
 #include "workloads/pipelines.hh"
 
 using namespace polyfuse;
@@ -71,16 +67,6 @@ spreadOf(std::vector<double> v)
     return s;
 }
 
-void
-initInputs(const ir::Program &p, exec::Buffers &buf)
-{
-    if (p.name() == "equake") {
-        workloads::initEquakeInputs(p, buf, 11);
-        return;
-    }
-    defaultInit(p, buf);
-}
-
 /** Sequential native wall-clock of each AST in @p asts: median of
  *  kReps warm runs, each on freshly initialized buffers. The kernels
  *  take turns run by run, so a drift in host speed hits them alike. */
@@ -96,8 +82,7 @@ nativeMs(const ir::Program &p, const std::vector<codegen::AstPtr> &asts)
     std::vector<std::vector<double>> ms(asts.size());
     for (int rep = 0; rep < kWarmup + kReps; ++rep)
         for (size_t i = 0; i < kernels.size(); ++i) {
-            exec::Buffers buf(p);
-            initInputs(p, buf);
+            exec::Buffers buf = freshBuffers(p);
             double s = kernels[i].run(buf).seconds;
             if (rep >= kWarmup)
                 ms[i].push_back(s * 1e3);
@@ -116,49 +101,14 @@ fmtSpread(const Spread &s)
     return fmt(s.median, "%.3f") + "+-" + fmt(s.iqr / 2, "%.3f");
 }
 
-/** First line of @p cmd's output (empty when it fails). */
-std::string
-firstLine(const std::string &cmd)
-{
-    std::string out;
-    if (FILE *f = popen(cmd.c_str(), "r")) {
-        char buf[256];
-        if (std::fgets(buf, sizeof(buf), f))
-            out = buf;
-        pclose(f);
-    }
-    while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-        out.pop_back();
-    return out;
-}
-
-void
-printHost()
-{
-    std::string model;
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    for (std::string line; std::getline(cpuinfo, line);)
-        if (line.rfind("model name", 0) == 0) {
-            model = line.substr(line.find(':') + 2);
-            break;
-        }
-    std::printf("host: %u hardware threads, cpu \"%s\", cc \"%s\", "
-#ifdef NDEBUG
-                "release build\n",
-#else
-                "debug build\n",
-#endif
-                std::thread::hardware_concurrency(), model.c_str(),
-                firstLine("cc --version 2>/dev/null").c_str());
-}
-
 } // namespace
 
 int
 main()
 {
-    printHost();
-    const bool have_cc = exec::NativeKernel::toolchainAvailable();
+    Host host = Host::probe();
+    host.print();
+    const bool have_cc = host.nativeToolchain;
     if (!have_cc)
         std::printf("(no C toolchain: native columns are n/a)\n");
 

@@ -28,28 +28,23 @@
  *   - the seeded near-miss run measures fewer candidates than the
  *     cold run, and the exact-key re-run warm-starts.
  *
- * Modes:
- *   (none)    full sweep, aligned table on stdout
- *   --json    full sweep, one JSON object on stdout
- *   --smoke   one-workload guided smoke (determinism + pruning
- *             gates), sub-second; the check_autotune_smoke ctest
- *             runs this
- *   --fit     measure every candidate on every workload and print a
- *             fresh least-squares calibration (the source of the
- *             constants in perfmodel::defaultModelFit())
+ * Modes (bench/harness.hh): table, --json, --smoke (a one-workload
+ * guided smoke with determinism + pruning gates, sub-second; the
+ * check_autotune_smoke ctest runs this), and two of its own:
+ *
+ *   --fit             measure every candidate on every workload and
+ *                     print a fresh least-squares calibration (the
+ *                     source of the constants in
+ *                     perfmodel::defaultModelFit())
+ *   --rank <workload> per-candidate model-vs-measurement dump
  */
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-
-#include "bench/common.hh"
+#include "bench/harness.hh"
 #include "driver/registry.hh"
 #include "perfmodel/autotune.hh"
 #include "perfmodel/model.hh"
 #include "perfmodel/search.hh"
 #include "perfmodel/tune_db.hh"
-#include "workloads/equake.hh"
 
 using namespace polyfuse;
 using namespace polyfuse::bench;
@@ -71,16 +66,6 @@ benchParams(const std::string &name)
     if (name == "gemver")
         return {256, 256};
     return {64, 64};
-}
-
-void
-initInputs(const ir::Program &p, exec::Buffers &buf)
-{
-    if (p.name() == "equake") {
-        workloads::initEquakeInputs(p, buf, 11);
-        return;
-    }
-    defaultInit(p, buf);
 }
 
 perfmodel::AutotuneOptions
@@ -209,59 +194,36 @@ measureNearMiss()
     return n;
 }
 
-double
-geomeanSpeedup(const std::vector<TuneRow> &rows)
-{
-    double acc = 0;
-    int n = 0;
-    for (const auto &r : rows) {
-        double v = r.speedup();
-        if (v > 0) {
-            acc += std::log(v);
-            ++n;
-        }
-    }
-    return n ? std::exp(acc / n) : 0;
-}
-
 std::string
 tilesJson(const std::vector<int64_t> &tiles)
 {
-    std::string out = "[";
-    for (size_t i = 0; i < tiles.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += std::to_string(tiles[i]);
-    }
-    return out + "]";
+    std::vector<std::string> items;
+    for (int64_t t : tiles)
+        items.push_back(std::to_string(t));
+    return jsonArray(items);
 }
 
 std::string
 rowJson(const TuneRow &r, double gap_bound)
 {
-    std::string out = "{\"name\": \"" + r.name + "\"";
-    out += ", \"dims\": " + std::to_string(r.dims);
-    out += ", \"totalCandidates\": " + std::to_string(r.total);
-    out += ", \"guidedMeasured\": " +
-           std::to_string(r.guidedMeasured);
-    out += ", \"guidedPruned\": " +
-           std::to_string(r.total - r.guidedMeasured);
-    out += ", \"measuredFrac\": " + fmt(r.measuredFrac(), "%.4f");
-    out += ", \"exhaustiveMs\": " + fmt(r.exhaustiveMs, "%.3f");
-    out += ", \"guidedMs\": " + fmt(r.guidedMs, "%.3f");
-    out += ", \"modelRankMs\": " + fmt(r.modelRankMs, "%.4f");
-    out += ", \"speedup\": " + fmt(r.speedup(), "%.2f");
-    out += ", \"oracleModeledMs\": " +
-           fmt(r.oracleModeledMs, "%.6f");
-    out += ", \"guidedModeledMs\": " +
-           fmt(r.guidedModeledMs, "%.6f");
-    out += ", \"qualityGapPct\": " + fmt(r.gapPct(), "%.4f");
-    out += ", \"oracleTiles\": " + tilesJson(r.oracleTiles);
-    out += ", \"guidedTiles\": " + tilesJson(r.guidedTiles);
-    out += ", \"withinBound\": ";
-    out += r.gapPct() <= gap_bound ? "true" : "false";
-    out += "}";
-    return out;
+    return JsonObject()
+        .str("name", r.name)
+        .integer("dims", r.dims)
+        .integer("totalCandidates", r.total)
+        .integer("guidedMeasured", r.guidedMeasured)
+        .integer("guidedPruned", r.total - r.guidedMeasured)
+        .num("measuredFrac", r.measuredFrac(), "%.4f")
+        .num("exhaustiveMs", r.exhaustiveMs, "%.3f")
+        .num("guidedMs", r.guidedMs, "%.3f")
+        .num("modelRankMs", r.modelRankMs, "%.4f")
+        .num("speedup", r.speedup(), "%.2f")
+        .num("oracleModeledMs", r.oracleModeledMs, "%.6f")
+        .num("guidedModeledMs", r.guidedModeledMs, "%.6f")
+        .num("qualityGapPct", r.gapPct(), "%.4f")
+        .raw("oracleTiles", tilesJson(r.oracleTiles))
+        .raw("guidedTiles", tilesJson(r.guidedTiles))
+        .boolean("withinBound", r.gapPct() <= gap_bound)
+        .text();
 }
 
 /** Smoke: one small guided search; assert it prunes, stays
@@ -354,10 +316,7 @@ runFit()
 int
 runRank(const char *name)
 {
-    const driver::WorkloadSpec *spec = nullptr;
-    for (const auto &s : driver::workloadRegistry())
-        if (!std::strcmp(s.name, name))
-            spec = &s;
+    const driver::WorkloadSpec *spec = driver::findWorkload(name);
     if (!spec) {
         std::fprintf(stderr, "unknown workload: %s\n", name);
         return 2;
@@ -411,25 +370,23 @@ runRank(const char *name)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false, json = false, do_fit = false;
+    Args args;
+    bool do_fit = false;
     const char *rank = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--fit"))
-            do_fit = true;
-        else if (!std::strcmp(argv[i], "--rank") && i + 1 < argc)
-            rank = argv[++i];
-        else {
-            std::fprintf(stderr,
-                         "usage: bench_autotune [--smoke] [--json] "
-                         "[--fit] [--rank <workload>]\n");
-            return 2;
-        }
-    }
-    if (smoke)
+    if (!parseArgs(argc, argv,
+                   "bench_autotune [--smoke] [--json] [--fit] "
+                   "[--rank <workload>]",
+                   args, [&](int &i) {
+                       if (!std::strcmp(argv[i], "--fit"))
+                           return do_fit = true;
+                       if (std::strcmp(argv[i], "--rank") ||
+                           i + 1 >= argc)
+                           return false;
+                       rank = argv[++i];
+                       return true;
+                   }))
+        return 2;
+    if (args.smoke)
         return runSmoke();
     if (do_fit)
         return runFit();
@@ -440,6 +397,7 @@ main(int argc, char **argv)
     const double kMaxGapPct = 5.0;
     const double kMinGeomeanSpeedup = 4.0;
 
+    Host host = Host::probe();
     std::vector<TuneRow> rows;
     for (const auto &w : driver::workloadRegistry())
         rows.push_back(measureWorkload(w));
@@ -447,58 +405,57 @@ main(int argc, char **argv)
 
     unsigned total = 0, measured = 0;
     double max_gap = 0;
+    std::vector<double> speedups;
     for (const auto &r : rows) {
         total += r.total;
         measured += r.guidedMeasured;
         max_gap = std::max(max_gap, r.gapPct());
+        speedups.push_back(r.speedup());
     }
     double frac = total ? double(measured) / double(total) : 1.0;
-    double geo = geomeanSpeedup(rows);
+    double geo = geomean(speedups);
     bool all_ok = frac <= kMaxMeasuredFrac &&
                   max_gap <= kMaxGapPct &&
                   geo >= kMinGeomeanSpeedup && nm.ok();
 
-    if (json) {
-        std::string out = "{\"bench\": \"autotune\", ";
-        out += "\"ladder\": [8, 16, 32, 64, 128, 256, 512], ";
-        out += "\"workloads\": [";
-        for (size_t i = 0; i < rows.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += rowJson(rows[i], kMaxGapPct);
-        }
-        out += "], \"aggregate\": {";
-        out += "\"totalCandidates\": " + std::to_string(total);
-        out += ", \"guidedMeasured\": " + std::to_string(measured);
-        out += ", \"measuredFrac\": " + fmt(frac, "%.4f");
-        out += ", \"geomeanSpeedup\": " + fmt(geo, "%.2f");
-        out += ", \"maxQualityGapPct\": " + fmt(max_gap, "%.4f");
-        out += "}, \"nearMiss\": {";
-        out += "\"workload\": \"" + nm.workload + "\"";
-        out += ", \"coldMeasured\": " +
-               std::to_string(nm.coldMeasured);
-        out += ", \"seededMeasured\": " +
-               std::to_string(nm.seededMeasured);
-        out += ", \"seededFromShape\": ";
-        out += nm.seededFromShape ? "true" : "false";
-        out += ", \"exactWarmStart\": ";
-        out += nm.exactWarmStart ? "true" : "false";
-        out += ", \"fewerWhenSeeded\": ";
-        out += nm.seededMeasured < nm.coldMeasured ? "true"
-                                                   : "false";
-        out += "}, \"bounds\": {";
-        out += "\"maxMeasuredFrac\": " +
-               fmt(kMaxMeasuredFrac, "%.2f");
-        out += ", \"maxQualityGapPct\": " + fmt(kMaxGapPct, "%.1f");
-        out += ", \"minGeomeanSpeedup\": " +
-               fmt(kMinGeomeanSpeedup, "%.1f");
-        out += "}, \"allOk\": ";
-        out += all_ok ? "true" : "false";
-        out += "}";
-        std::printf("%s\n", out.c_str());
+    if (args.json) {
+        std::vector<std::string> workloads;
+        for (const auto &r : rows)
+            workloads.push_back(rowJson(r, kMaxGapPct));
+        JsonObject out = benchJson("autotune", host);
+        out.raw("ladder", "[8, 16, 32, 64, 128, 256, 512]")
+            .raw("workloads", jsonArray(workloads))
+            .raw("aggregate",
+                 JsonObject()
+                     .integer("totalCandidates", total)
+                     .integer("guidedMeasured", measured)
+                     .num("measuredFrac", frac, "%.4f")
+                     .num("geomeanSpeedup", geo, "%.2f")
+                     .num("maxQualityGapPct", max_gap, "%.4f")
+                     .text())
+            .raw("nearMiss",
+                 JsonObject()
+                     .str("workload", nm.workload)
+                     .integer("coldMeasured", nm.coldMeasured)
+                     .integer("seededMeasured", nm.seededMeasured)
+                     .boolean("seededFromShape", nm.seededFromShape)
+                     .boolean("exactWarmStart", nm.exactWarmStart)
+                     .boolean("fewerWhenSeeded",
+                              nm.seededMeasured < nm.coldMeasured)
+                     .text())
+            .raw("bounds",
+                 JsonObject()
+                     .num("maxMeasuredFrac", kMaxMeasuredFrac, "%.2f")
+                     .num("maxQualityGapPct", kMaxGapPct, "%.1f")
+                     .num("minGeomeanSpeedup", kMinGeomeanSpeedup,
+                          "%.1f")
+                     .text())
+            .boolean("allOk", all_ok);
+        std::printf("%s\n", out.text().c_str());
         return all_ok ? 0 : 1;
     }
 
+    host.print();
     std::printf("=== Autotune search: exhaustive oracle vs guided "
                 "(default ladder) ===\n");
     printRow("workload",

@@ -2,7 +2,7 @@
  * @file
  * Backend-registry benchmark — the machine-readable baseline behind
  * BENCH_backends.json, and the measurement half of the "one
- * numerical contract" story (ISSUE 9).
+ * numerical contract" story.
  *
  * Every registry workload is compiled once with the paper's
  * composition strategy, then executed on every registered backend
@@ -13,42 +13,32 @@
  * the run honored the backend's declared contract (today every
  * backend declares bit-identity; the deviation columns exist so a
  * future reassociating backend lands with its bound measured, not
- * asserted).
+ * asserted). The tier speedups over the interpreter — bytecode
+ * (`geomeanSpeedup`) and sequential native (`nativeGeomeanSpeedup`)
+ * — are geomeans over these rows.
  *
  * Native backends need a working C toolchain and fork cc once per
  * (workload, team shape); they are skipped when no toolchain is
  * found, never silently substituted.
  *
- * Modes:
- *   (none)    full sweep, aligned table on stdout
- *   --json    full sweep, one JSON object on stdout
- *   --smoke   two-workload subset at tiny sizes, in-process
- *             backends only, same contract assertions, well under
- *             0.5 s; the check_backends_smoke ctest runs this
+ * Modes (bench/harness.hh): table, --json, and --smoke — a
+ * five-point subset at tiny sizes, in-process backends only, same
+ * contract assertions; the check_backends_smoke ctest runs this.
  */
 
-#include <cmath>
-#include <cstring>
 #include <memory>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
-#include "bench/common.hh"
+#include "bench/harness.hh"
 #include "driver/registry.hh"
 #include "exec/kernel_cache.hh"
-#include "exec/native.hh"
-#include "support/thread_pool.hh"
-#include "workloads/equake.hh"
 
 using namespace polyfuse;
 using namespace polyfuse::bench;
 
 namespace {
 
-/** Sizes tuned like bench_runtime's: stable ratios, interp leg in
- *  fractions of a second. */
+/** Stable ratios, with the interpreter leg in fractions of a
+ *  second. */
 driver::WorkloadParams
 benchParams(const std::string &name)
 {
@@ -63,34 +53,6 @@ benchParams(const std::string &name)
     if (name == "unsharp")
         return {64, 128};
     return {128, 128};
-}
-
-void
-initInputs(const ir::Program &p, exec::Buffers &buf)
-{
-    if (p.name() == "equake") {
-        workloads::initEquakeInputs(p, buf, 11);
-        return;
-    }
-    defaultInit(p, buf);
-}
-
-/** Threads this process may actually run on: the affinity mask when
- *  the kernel exposes one (a pinned container reports every core
- *  via hardware_concurrency but schedules on one). */
-unsigned
-affinityThreads()
-{
-#ifdef __linux__
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-        int n = CPU_COUNT(&set);
-        if (n > 0)
-            return unsigned(n);
-    }
-#endif
-    return ThreadPool::defaultThreads();
 }
 
 /** One backend's measurement on one workload. */
@@ -115,6 +77,25 @@ struct WorkloadRow
             if (!pt.withinContract)
                 return false;
         return true;
+    }
+
+    /** Milliseconds of @p backend (< 0 when it did not run). */
+    double
+    msOf(const char *backend) const
+    {
+        for (const auto &pt : points)
+            if (pt.backend == backend)
+                return pt.ms;
+        return -1;
+    }
+
+    /** Interpreter time over @p backend's (0 when either is
+     *  missing). */
+    double
+    speedupOf(const char *backend) const
+    {
+        double interp = msOf("interp"), ms = msOf(backend);
+        return interp > 0 && ms > 0 ? interp / ms : 0;
     }
 };
 
@@ -144,8 +125,7 @@ measureWorkload(const driver::WorkloadSpec &spec,
         exec::BytecodeKernel::compile(*program, image->ast);
 
     // Reference: the interpreter, the root of the contract.
-    exec::Buffers ref(*program);
-    initInputs(*program, ref);
+    exec::Buffers ref = freshBuffers(*program);
     exec::ExecOptions iopts;
     iopts.tier = exec::Tier::Interp;
     exec::execute(*image, ref, iopts);
@@ -160,27 +140,22 @@ measureWorkload(const driver::WorkloadSpec &spec,
         exec::ExecOptions eopts = exec::backendOptions(b);
         eopts.tileBands = &image->tileBands;
 
-        // Warmup run doubles as the deviation measurement (native
-        // backends pay their cc fork here, outside the timing).
-        exec::Buffers buf(*program);
-        initInputs(*program, buf);
-        exec::ExecResult r = exec::execute(*image, buf, eopts);
-        pt.dev = exec::bufferDeviation(*program, ref, buf);
-        pt.withinContract =
-            b.bitIdentical ? pt.dev.bitIdentical
-                           : pt.dev.maxAbs <= b.maxAbsResidual;
-        if (!r.fallbackReason.empty())
-            pt.degraded = r.fallbackReason;
-        else if (!r.parFallbackReason.empty())
-            pt.degraded = r.parFallbackReason;
-
-        pt.ms = r.stats.seconds * 1e3;
-        for (int rep = 1; rep < reps; ++rep) {
-            exec::Buffers again(*program);
-            initInputs(*program, again);
-            exec::ExecResult rr = exec::execute(*image, again, eopts);
-            pt.ms = std::min(pt.ms, rr.stats.seconds * 1e3);
-        }
+        // The first rep doubles as the deviation measurement (native
+        // backends pay their cc fork there, outside the timing).
+        pt.ms = minOfReps(reps, [&](int rep) {
+            exec::Buffers buf = freshBuffers(*program);
+            exec::ExecResult r = exec::execute(*image, buf, eopts);
+            if (rep == 0) {
+                pt.dev = exec::bufferDeviation(*program, ref, buf);
+                pt.withinContract =
+                    b.bitIdentical ? pt.dev.bitIdentical
+                                   : pt.dev.maxAbs <= b.maxAbsResidual;
+                pt.degraded = !r.fallbackReason.empty()
+                                  ? r.fallbackReason
+                                  : r.parFallbackReason;
+            }
+            return r.stats.seconds * 1e3;
+        });
         row.points.push_back(pt);
     }
     return row;
@@ -189,25 +164,22 @@ measureWorkload(const driver::WorkloadSpec &spec,
 std::string
 pointJson(const BackendPoint &pt)
 {
-    std::string out = "{\"backend\": \"" + pt.backend + "\"";
+    JsonObject o;
+    o.str("backend", pt.backend);
     if (pt.ms < 0)
-        return out + ", \"available\": false}";
-    out += ", \"ms\": " + fmt(pt.ms, "%.4f");
-    out += ", \"maxAbsDeviation\": " + fmt(pt.dev.maxAbs, "%.17g");
-    out += ", \"maxUlpDeviation\": " +
-           std::to_string(pt.dev.maxUlp);
-    out += ", \"identical\": ";
-    out += pt.dev.bitIdentical ? "true" : "false";
-    out += ", \"withinContract\": ";
-    out += pt.withinContract ? "true" : "false";
+        return o.boolean("available", false).text();
+    o.num("ms", pt.ms, "%.4f")
+        .num("maxAbsDeviation", pt.dev.maxAbs, "%.17g")
+        .integer("maxUlpDeviation", pt.dev.maxUlp)
+        .boolean("identical", pt.dev.bitIdentical)
+        .boolean("withinContract", pt.withinContract);
     if (!pt.degraded.empty())
-        out += ", \"degraded\": \"" + pt.degraded + "\"";
-    out += "}";
-    return out;
+        o.str("degraded", pt.degraded);
+    return o.text();
 }
 
-/** Smoke: two workloads, in-process backends only (native forks a
- *  compiler per team shape; the ctest budget is 0.5 s). */
+/** Smoke: small workloads, in-process backends only (native forks
+ *  a compiler per team shape). */
 int
 runSmoke()
 {
@@ -216,8 +188,9 @@ runSmoke()
         const char *name;
         driver::WorkloadParams params;
     } subset[] = {
-        {"harris", {24, 24}},
-        {"2mm", {24, 24}},
+        {"harris", {24, 24}}, {"2mm", {24, 24}},
+        {"conv2d", {24, 24}}, {"unsharp", {8, 64}},
+        {"2mm", {32, 32}},
     };
     int failures = 0;
     for (const auto &s : subset) {
@@ -239,8 +212,9 @@ runSmoke()
                 ++failures;
             }
         }
-        std::printf("%-10s in-process backends: %s\n",
-                    row.name.c_str(),
+        std::printf("%-10s %3lldx%-4lld in-process backends: %s\n",
+                    row.name.c_str(), (long long)s.params.rows,
+                    (long long)s.params.cols,
                     row.allWithinContract() ? "within contract"
                                             : "CONTRACT VIOLATION");
     }
@@ -257,74 +231,56 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    bool smoke = false, json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else {
-            std::fprintf(
-                stderr,
-                "usage: bench_backends [--smoke] [--json]\n");
-            return 2;
-        }
-    }
-    if (smoke)
+    Args args;
+    if (!parseArgs(argc, argv, "bench_backends [--smoke] [--json]",
+                   args))
+        return 2;
+    if (args.smoke)
         return runSmoke();
 
     const int reps = 3;
-    bool with_native = exec::NativeKernel::toolchainAvailable();
-    unsigned hw = ThreadPool::defaultThreads();
-    unsigned aff = affinityThreads();
-    bool single_core = hw <= 1 || aff <= 1;
-
+    Host host = Host::probe();
     std::vector<WorkloadRow> rows;
     for (const auto &w : driver::workloadRegistry())
         rows.push_back(measureWorkload(w, benchParams(w.name), reps,
-                                       with_native));
+                                       host.nativeToolchain));
 
     bool all_ok = true;
-    for (const auto &r : rows)
+    std::vector<double> bytecode_x, native_x;
+    for (const auto &r : rows) {
         all_ok = all_ok && r.allWithinContract();
+        bytecode_x.push_back(r.speedupOf("bytecode"));
+        native_x.push_back(r.speedupOf("native"));
+    }
+    double geo = geomean(bytecode_x), ngeo = geomean(native_x);
 
-    if (json) {
-        std::string out = "{\"bench\": \"backends\", ";
-        out += "\"strategy\": \"ours\", \"reps\": " +
-               std::to_string(reps);
-        out += ", \"hardwareThreads\": " + std::to_string(hw);
-        out += ", \"affinityThreads\": " + std::to_string(aff);
-        // Parallel-backend latencies on a single-core box measure
-        // scheduling overhead, not speedup: the flag tells every
-        // consumer not to read them as one.
-        out += ", \"singleCore\": ";
-        out += single_core ? "true" : "false";
-        out += ", \"nativeToolchain\": ";
-        out += with_native ? "true" : "false";
-        out += ", \"workloads\": [";
-        for (size_t i = 0; i < rows.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += "{\"name\": \"" + rows[i].name +
-                   "\", \"backends\": [";
-            for (size_t j = 0; j < rows[i].points.size(); ++j) {
-                if (j)
-                    out += ", ";
-                out += pointJson(rows[i].points[j]);
-            }
-            out += "]}";
+    if (args.json) {
+        JsonObject out = benchJson("backends", host);
+        out.str("strategy", "ours").integer("reps", reps);
+        std::vector<std::string> workloads;
+        for (const auto &r : rows) {
+            std::vector<std::string> points;
+            for (const auto &pt : r.points)
+                points.push_back(pointJson(pt));
+            workloads.push_back(JsonObject()
+                                    .str("name", r.name)
+                                    .raw("backends", jsonArray(points))
+                                    .text());
         }
-        out += "], \"allWithinContract\": ";
-        out += all_ok ? "true" : "false";
-        out += "}";
-        std::printf("%s\n", out.c_str());
+        out.raw("workloads", jsonArray(workloads))
+            .num("geomeanSpeedup", geo, "%.4f");
+        if (host.nativeToolchain)
+            out.num("nativeGeomeanSpeedup", ngeo, "%.4f");
+        out.boolean("allWithinContract", all_ok);
+        std::printf("%s\n", out.text().c_str());
         return all_ok ? 0 : 1;
     }
 
-    std::printf("=== Backend registry (strategy ours, best of %d, "
-                "%u hardware threads%s) ===\n",
-                reps, hw, single_core ? ", SINGLE CORE" : "");
-    if (single_core)
+    host.print();
+    std::printf("=== Backend registry (strategy ours, best of %d) "
+                "===\n",
+                reps);
+    if (host.singleCore)
         std::printf("note: single-core machine; parallel-backend "
                     "latencies are overhead measurements, not "
                     "speedups\n");
@@ -345,5 +301,9 @@ main(int argc, char **argv)
                      11);
         }
     }
+    std::printf("geomean over interp: bytecode %s, native %s\n",
+                fmt(geo, "%.2fx").c_str(),
+                host.nativeToolchain ? fmt(ngeo, "%.2fx").c_str()
+                                     : "-");
     return all_ok ? 0 : 1;
 }

@@ -19,22 +19,15 @@
  * correctness gate and exits nonzero on any mismatch, missed warm
  * hit, or warm compile that still ran a pipeline pass.
  *
- * Modes:
- *   (none)    full sweep, aligned table on stdout
- *   --json    full sweep, one JSON object on stdout
- *   --smoke   three-workload subset at tiny sizes with the same
- *             assertions, well under 5 s; the check_cache_smoke
- *             ctest runs this
+ * Modes (bench/harness.hh): table, --json, and --smoke — a
+ * three-workload subset at tiny sizes with the same assertions; the
+ * check_cache_smoke ctest runs this.
  */
 
-#include <cmath>
-#include <cstring>
-
-#include "bench/common.hh"
+#include "bench/harness.hh"
 #include "driver/artifact.hh"
 #include "driver/registry.hh"
 #include "exec/kernel_cache.hh"
-#include "workloads/equake.hh"
 
 using namespace polyfuse;
 using namespace polyfuse::bench;
@@ -70,32 +63,11 @@ benchParams(const std::string &name)
     return {64, 64};
 }
 
-void
-initInputs(const ir::Program &p, exec::Buffers &buf)
-{
-    if (p.name() == "equake") {
-        workloads::initEquakeInputs(p, buf, 11);
-        return;
-    }
-    defaultInit(p, buf);
-}
-
-bool
-buffersEqual(const ir::Program &p, const exec::Buffers &a,
-             const exec::Buffers &b)
-{
-    for (size_t t = 0; t < p.tensors().size(); ++t)
-        if (a.data(t) != b.data(t))
-            return false;
-    return true;
-}
-
 exec::Buffers
 runArtifact(const driver::KernelArtifact &artifact,
             const ir::Program &p)
 {
-    exec::Buffers buf(p);
-    initInputs(p, buf);
+    exec::Buffers buf = freshBuffers(p);
     driver::executeKernel(artifact, buf);
     return buf;
 }
@@ -128,53 +100,34 @@ measureWorkload(const driver::WorkloadSpec &spec,
 
     // Warm: repeat compiles are pure lookups; take the best.
     driver::KernelArtifact warm;
-    r.warmCompileMs = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
+    r.warmCompileMs = minOfReps(reps, [&](int) {
         Timer t_warm;
         warm = driver::compileKernel(pipeline, p, aopts);
-        r.warmCompileMs =
-            std::min(r.warmCompileMs, t_warm.milliseconds());
-    }
+        return t_warm.milliseconds();
+    });
     r.warmHit = warm.fromCache;
     r.warmPipelineFree = warm.stats.passes().size() == 1 &&
                          warm.stats.passes()[0].name == "KernelCache";
 
     // Execute gate: every variant computes the cache-off bits.
     auto ref = runArtifact(off, *p);
-    r.identical = buffersEqual(*p, ref, runArtifact(cold, *p)) &&
-                  buffersEqual(*p, ref, runArtifact(warm, *p));
+    r.identical = bitIdentical(*p, ref, runArtifact(cold, *p)) &&
+                  bitIdentical(*p, ref, runArtifact(warm, *p));
     return r;
-}
-
-double
-geomeanSpeedup(const std::vector<CacheTimes> &rows)
-{
-    double acc = 0;
-    int n = 0;
-    for (const auto &r : rows) {
-        double v = r.speedup();
-        if (v > 0) {
-            acc += std::log(v);
-            ++n;
-        }
-    }
-    return n ? std::exp(acc / n) : 0;
 }
 
 std::string
 rowJson(const CacheTimes &r)
 {
-    std::string out = "{\"name\": \"" + r.name + "\"";
-    out += ", \"offCompileMs\": " + fmt(r.offCompileMs, "%.4f");
-    out += ", \"coldCompileMs\": " + fmt(r.coldCompileMs, "%.4f");
-    out += ", \"warmCompileMs\": " + fmt(r.warmCompileMs, "%.4f");
-    out += ", \"speedup\": " + fmt(r.speedup(), "%.2f");
-    out += ", \"warmHit\": ";
-    out += r.warmHit ? "true" : "false";
-    out += ", \"identical\": ";
-    out += r.identical ? "true" : "false";
-    out += "}";
-    return out;
+    return JsonObject()
+        .str("name", r.name)
+        .num("offCompileMs", r.offCompileMs, "%.4f")
+        .num("coldCompileMs", r.coldCompileMs, "%.4f")
+        .num("warmCompileMs", r.warmCompileMs, "%.4f")
+        .num("speedup", r.speedup(), "%.2f")
+        .boolean("warmHit", r.warmHit)
+        .boolean("identical", r.identical)
+        .text();
 }
 
 bool
@@ -227,56 +180,48 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    bool smoke = false, json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else {
-            std::fprintf(stderr,
-                         "usage: bench_cache [--smoke] [--json]\n");
-            return 2;
-        }
-    }
-    if (smoke)
+    Args args;
+    if (!parseArgs(argc, argv, "bench_cache [--smoke] [--json]", args))
+        return 2;
+    if (args.smoke)
         return runSmoke();
 
+    Host host = Host::probe();
     exec::KernelCache cache;
     std::vector<CacheTimes> rows;
     for (const auto &w : driver::workloadRegistry())
         rows.push_back(
             measureWorkload(w, benchParams(w.name), 5, cache));
 
-    double geo = geomeanSpeedup(rows);
     bool all_ok = true;
-    for (const auto &r : rows)
+    std::vector<double> speedups;
+    for (const auto &r : rows) {
         all_ok = all_ok && rowOk(r);
+        speedups.push_back(r.speedup());
+    }
+    double geo = geomean(speedups);
     const auto &c = cache.counters();
 
-    if (json) {
-        std::string out = "{\"bench\": \"cache\", ";
-        out += "\"strategy\": \"ours\", \"warmReps\": 5, ";
-        out += "\"workloads\": [";
-        for (size_t i = 0; i < rows.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += rowJson(rows[i]);
-        }
-        out += "], \"geomeanWarmSpeedup\": " + fmt(geo, "%.1f");
-        out += ", \"cacheHits\": " + std::to_string(c.hits);
-        out += ", \"cacheMisses\": " + std::to_string(c.misses);
-        out += ", \"cacheInsertions\": " +
-               std::to_string(c.insertions);
-        out += ", \"cacheEvictions\": " + std::to_string(c.evictions);
-        out += ", \"cacheBytes\": " + std::to_string(cache.bytes());
-        out += ", \"allIdentical\": ";
-        out += all_ok ? "true" : "false";
-        out += "}";
-        std::printf("%s\n", out.c_str());
+    if (args.json) {
+        std::vector<std::string> workloads;
+        for (const auto &r : rows)
+            workloads.push_back(rowJson(r));
+        JsonObject out = benchJson("cache", host);
+        out.str("strategy", "ours")
+            .integer("warmReps", 5)
+            .raw("workloads", jsonArray(workloads))
+            .num("geomeanWarmSpeedup", geo, "%.1f")
+            .integer("cacheHits", c.hits)
+            .integer("cacheMisses", c.misses)
+            .integer("cacheInsertions", c.insertions)
+            .integer("cacheEvictions", c.evictions)
+            .integer("cacheBytes", cache.bytes())
+            .boolean("allIdentical", all_ok);
+        std::printf("%s\n", out.text().c_str());
         return all_ok ? 0 : 1;
     }
 
+    host.print();
     std::printf("=== Kernel cache (strategy ours, warm best of 5) "
                 "===\n");
     printRow("workload",

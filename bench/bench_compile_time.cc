@@ -13,10 +13,7 @@
  * our approach.
  */
 
-#include <cstring>
-
-#include "bench/common.hh"
-#include "bench/perf_baseline.hh"
+#include "bench/harness.hh"
 #include "driver/batch.hh"
 #include "support/thread_pool.hh"
 #include "workloads/pipelines.hh"
@@ -24,50 +21,11 @@
 using namespace polyfuse;
 using namespace polyfuse::bench;
 
-namespace {
-
-/**
- * --json: the registry-wide compile-time baseline behind
- * BENCH_compile_time.json. Every registry workload is compiled at
- * --jobs 1 twice in this same process — baseline (forced-heap rows,
- * op cache off) and optimized (inline rows, cache on) — and the
- * geomean speedup of the optimized configuration is the number the
- * perf trajectory tracks. Exit 1 when any workload's generated C
- * differs between the two configurations.
- */
 int
-runJson()
+main(int argc, char **)
 {
-    std::vector<PerfComparison> sweep = sweepRegistryPerf(3);
-    double geomean = geomeanSpeedup(sweep);
-    bool all_identical = true;
-    for (const auto &c : sweep)
-        all_identical = all_identical && c.identical();
-
-    std::string out = "{\"bench\": \"compile_time\", \"jobs\": 1, ";
-    out += "\"strategy\": \"ours\", \"reps\": 3, \"workloads\": [";
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += perfComparisonJson(sweep[i]);
-    }
-    out += "], \"geomeanSpeedup\": " + fmt(geomean, "%.4f");
-    out += ", \"allIdentical\": ";
-    out += all_identical ? "true" : "false";
-    out += "}";
-    std::printf("%s\n", out.c_str());
-    return all_identical ? 0 : 1;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    if (argc > 1 && !std::strcmp(argv[1], "--json"))
-        return runJson();
     if (argc > 1) {
-        std::fprintf(stderr, "usage: bench_compile_time [--json]\n");
+        std::fprintf(stderr, "usage: bench_compile_time\n");
         return 2;
     }
     workloads::PipelineConfig cfg{256, 256};
@@ -99,16 +57,15 @@ main(int argc, char **argv)
             opts.tileSizes = {32, 32};
             // Best of three to de-noise; keep the stats of the
             // fastest run so the breakdown matches the total.
-            driver::PassStats best;
-            double best_ms = 1e30;
-            for (int rep = 0; rep < 3; ++rep) {
+            driver::CompilationState fastest;
+            double best_ms = minOfReps(3, [&](int rep) {
                 auto state = compileStrategy(p, s, opts);
                 double ms = state.compileMs();
-                if (ms < best_ms) {
-                    best_ms = ms;
-                    best = state.stats;
-                }
-            }
+                if (rep == 0 || ms < fastest.compileMs())
+                    fastest = std::move(state);
+                return ms;
+            });
+            const driver::PassStats &best = fastest.stats;
             printRow(std::string(e.name) + "/" + strategyName(s),
                      {fmt(best.msOf("Fuse")),
                       fmt(best.msOf("Compose")),

@@ -21,26 +21,14 @@
  * claims are withheld entirely — the rows remain as overhead
  * measurements, documented as such, not as a defect.
  *
- * Modes:
- *   (none)    full sweep, aligned table on stdout
- *   --json    full sweep, one JSON object on stdout
- *   --smoke   two-workload subset at tiny sizes with the same
- *             equality assertions, well under the ctest budget; the
- *             check_par_smoke ctest runs this
+ * Modes (bench/harness.hh): table, --json, and --smoke — a
+ * two-workload subset at tiny sizes with the same equality
+ * assertions; the check_par_smoke ctest runs this.
  */
 
-#include <cmath>
-#include <cstring>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
-
-#include "bench/common.hh"
+#include "bench/harness.hh"
 #include "driver/registry.hh"
 #include "exec/engine.hh"
-#include "support/thread_pool.hh"
-#include "workloads/equake.hh"
 
 using namespace polyfuse;
 using namespace polyfuse::bench;
@@ -107,16 +95,6 @@ benchParams(const std::string &name)
     return {128, 128};
 }
 
-bool
-buffersEqual(const ir::Program &p, const exec::Buffers &a,
-             const exec::Buffers &b)
-{
-    for (size_t t = 0; t < p.tensors().size(); ++t)
-        if (a.data(t) != b.data(t))
-            return false;
-    return true;
-}
-
 ParRow
 measure(const driver::WorkloadSpec &spec,
         const driver::WorkloadParams &params, Strategy strategy,
@@ -133,47 +111,37 @@ measure(const driver::WorkloadSpec &spec,
     popts.tileSizes = spec.defaultTiles;
     auto state = driver::Pipeline(popts).run(p);
 
-    auto init = [&](exec::Buffers &buf) {
-        for (size_t t = 0; t < p.tensors().size(); ++t)
-            if (p.tensor(t).kind != ir::TensorKind::Temp)
-                buf.fillPattern(t, 1000 + t);
-    };
-
     exec::BytecodeKernel kernel =
         exec::BytecodeKernel::compile(p, state.ast);
 
     // Sequential baseline, keeping the buffers for equality.
     exec::Buffers ref(p);
-    r.seqMs = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
-        exec::Buffers buf(p);
-        init(buf);
+    r.seqMs = minOfReps(reps, [&](int rep) {
+        exec::Buffers buf = freshBuffers(p);
         auto stats = kernel.run(buf);
-        r.seqMs = std::min(r.seqMs, stats.seconds * 1e3);
         if (rep == reps - 1)
             ref = std::move(buf);
-    }
+        return stats.seconds * 1e3;
+    });
 
     for (unsigned threads : kThreadCounts) {
         ThreadPoint pt;
         pt.threads = threads;
-        pt.ms = 1e30;
-        for (int rep = 0; rep < reps; ++rep) {
-            exec::Buffers buf(p);
-            init(buf);
+        pt.ms = minOfReps(reps, [&](int rep) {
+            exec::Buffers buf = freshBuffers(p);
             exec::ParRunStats ps;
             std::string reason;
             auto stats = kernel.runParallel(
                 buf, threads, par, &state.tileBands, ps, reason);
-            pt.ms = std::min(pt.ms, stats.seconds * 1e3);
             if (rep == reps - 1) {
                 pt.waits = ps.waits;
-                pt.identical = buffersEqual(p, ref, buf);
+                pt.identical = bitIdentical(p, ref, buf);
                 r.tiles = ps.tilesExecuted;
                 r.criticalPath = ps.criticalPath;
                 r.fallback = reason;
             }
-        }
+            return stats.seconds * 1e3;
+        });
         r.points.push_back(pt);
     }
     return r;
@@ -183,49 +151,36 @@ double
 geomeanSpeedup(const std::vector<ParRow> &rows, unsigned threads,
                exec::ParStrategy only)
 {
-    double acc = 0;
-    int n = 0;
-    for (const auto &r : rows) {
-        if (r.par != only)
-            continue;
-        double v = r.speedupAt(threads);
-        if (v > 0) {
-            acc += std::log(v);
-            ++n;
-        }
-    }
-    return n ? std::exp(acc / n) : 0;
+    std::vector<double> v;
+    for (const auto &r : rows)
+        if (r.par == only)
+            v.push_back(r.speedupAt(threads));
+    return geomean(v);
 }
 
 std::string
 rowJson(const ParRow &r)
 {
-    std::string out = "{\"name\": \"" + r.name + "\"";
-    out += ", \"strategy\": \"";
-    out += strategyName(r.strategy);
-    out += "\", \"par\": \"";
-    out += exec::parStrategyName(r.par);
-    out += "\", \"seqMs\": " + fmt(r.seqMs, "%.4f");
-    out += ", \"tiles\": " + std::to_string(r.tiles);
-    out += ", \"criticalPath\": " + std::to_string(r.criticalPath);
-    out +=
-        ", \"parallelismBound\": " + fmt(r.parallelismBound(), "%.2f");
-    out += ", \"threads\": [";
-    for (size_t i = 0; i < r.points.size(); ++i) {
-        const ThreadPoint &pt = r.points[i];
-        if (i)
-            out += ", ";
-        out += "{\"threads\": " + std::to_string(pt.threads);
-        out += ", \"ms\": " + fmt(pt.ms, "%.4f");
-        out += ", \"speedup\": " +
-               fmt(r.speedupAt(pt.threads), "%.2f");
-        out += ", \"waits\": " + std::to_string(pt.waits);
-        out += "}";
-    }
-    out += "], \"identical\": ";
-    out += r.identical() ? "true" : "false";
-    out += "}";
-    return out;
+    std::vector<std::string> points;
+    for (const ThreadPoint &pt : r.points)
+        points.push_back(JsonObject()
+                             .integer("threads", pt.threads)
+                             .num("ms", pt.ms, "%.4f")
+                             .num("speedup", r.speedupAt(pt.threads),
+                                  "%.2f")
+                             .integer("waits", pt.waits)
+                             .text());
+    return JsonObject()
+        .str("name", r.name)
+        .str("strategy", strategyName(r.strategy))
+        .str("par", exec::parStrategyName(r.par))
+        .num("seqMs", r.seqMs, "%.4f")
+        .integer("tiles", r.tiles)
+        .integer("criticalPath", r.criticalPath)
+        .num("parallelismBound", r.parallelismBound(), "%.2f")
+        .raw("threads", jsonArray(points))
+        .boolean("identical", r.identical())
+        .text();
 }
 
 std::vector<ParRow>
@@ -301,73 +256,49 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    bool smoke = false, json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else {
-            std::fprintf(
-                stderr,
-                "usage: bench_parallel [--smoke] [--json]\n");
-            return 2;
-        }
-    }
-    if (smoke)
+    Args args;
+    if (!parseArgs(argc, argv, "bench_parallel [--smoke] [--json]",
+                   args))
+        return 2;
+    if (args.smoke)
         return runSmoke();
 
     const int reps = 3;
+    Host host = Host::probe();
     std::vector<ParRow> rows = fullSweep(reps);
     bool all_identical = true;
     for (const auto &r : rows)
         all_identical = all_identical && r.identical();
 
-    unsigned hw = ThreadPool::defaultThreads();
-    unsigned aff = hw;
-#ifdef __linux__
-    {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        if (sched_getaffinity(0, sizeof(set), &set) == 0 &&
-            CPU_COUNT(&set) > 0)
-            aff = unsigned(CPU_COUNT(&set));
-    }
-#endif
-    // Pinned to one core, a "speedup" is thread-scheduling noise:
-    // the baseline refuses the claim outright instead of committing
-    // a misleading geomean.
-    bool single_core = hw <= 1 || aff <= 1;
-    if (json) {
-        std::string out = "{\"bench\": \"parallel\", ";
-        out += "\"hardwareThreads\": " + std::to_string(hw);
-        out += ", \"singleCore\": ";
-        out += single_core ? "true" : "false";
-        out += ", \"reps\": " + std::to_string(reps);
-        out += ", \"workloads\": [";
-        for (size_t i = 0; i < rows.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += rowJson(rows[i]);
+    if (args.json) {
+        JsonObject out = benchJson("parallel", host);
+        out.integer("reps", reps);
+        std::vector<std::string> workloads;
+        for (const auto &r : rows)
+            workloads.push_back(rowJson(r));
+        out.raw("workloads", jsonArray(workloads));
+        // Pinned to one core, a "speedup" is thread-scheduling
+        // noise: the baseline refuses the claim outright instead of
+        // committing a misleading geomean.
+        if (!host.singleCore) {
+            out.num("geomeanSpeedup2",
+                    geomeanSpeedup(rows, 2, exec::ParStrategy::Static),
+                    "%.4f");
+            out.num("geomeanSpeedup4",
+                    geomeanSpeedup(rows, 4, exec::ParStrategy::Static),
+                    "%.4f");
+            out.num("geomeanSpeedup8",
+                    geomeanSpeedup(rows, 8, exec::ParStrategy::Static),
+                    "%.4f");
         }
-        out += "]";
-        if (!single_core)
-            for (unsigned t : {2u, 4u, 8u})
-                out += ", \"geomeanSpeedup" + std::to_string(t) +
-                       "\": " +
-                       fmt(geomeanSpeedup(rows, t,
-                                          exec::ParStrategy::Static),
-                           "%.4f");
-        out += ", \"allIdentical\": ";
-        out += all_identical ? "true" : "false";
-        out += "}";
-        std::printf("%s\n", out.c_str());
+        out.boolean("allIdentical", all_identical);
+        std::printf("%s\n", out.text().c_str());
         return all_identical ? 0 : 1;
     }
 
-    std::printf("=== Tile-graph parallel runtime (best of %d, "
-                "%u hardware threads) ===\n",
-                reps, hw);
+    host.print();
+    std::printf("=== Tile-graph parallel runtime (best of %d) ===\n",
+                reps);
     printRow("workload",
              {"par", "seq ms", "x1", "x2", "x4", "x8", "tiles",
               "critpath", "buffers"},
@@ -384,7 +315,7 @@ main(int argc, char **argv)
                   r.identical() ? "identical" : "MISMATCH"},
                  9);
     }
-    if (single_core)
+    if (host.singleCore)
         std::printf("geomean withheld: single-core machine, "
                     "speedup rows measure overhead only\n");
     else

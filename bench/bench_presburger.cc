@@ -11,29 +11,143 @@
  *     elimination. Each reports ns/op so regressions in the hot
  *     loops are visible without registry-level noise.
  *
- *  2. The registry A/B sweep (bench/perf_baseline.hh): every
- *     workload compiled baseline (heap rows + cache off) and
- *     optimized (inline rows + cache on) in the same process, with
- *     byte-identical generated C enforced.
+ *  2. The registry A/B sweep: every workload compiled twice in the
+ *     same process — once in the baseline configuration
+ *     (forced-heap SmallVec rows, op cache off, i.e. the
+ *     pre-overhaul Presburger layer) and once optimized (inline
+ *     rows, cache on) — comparing wall time, FM work and generated
+ *     code. Both configurations run the identical binary; the
+ *     baseline is selected purely through the ScopedForceHeap test
+ *     hook and CompileContext::setOpCacheEnabled(false), so the
+ *     measured delta is exactly the row-storage + memoization work.
+ *     The generated C of both sides must be byte-identical.
  *
- * Modes:
- *   (none)    full sweep, aligned tables on stdout
- *   --json    full sweep, one JSON object on stdout
- *   --smoke   subset sweep with correctness assertions, < 5 s; the
- *             check_perf_smoke ctest runs this and fails on any
- *             cache-equivalence mismatch
+ * Modes (bench/harness.hh): table, --json, and --smoke — a subset
+ * sweep with correctness assertions, < 5 s; the check_perf_smoke
+ * ctest runs this and fails on any cache-equivalence mismatch.
  */
 
-#include <cstring>
+#include <memory>
 
-#include "bench/perf_baseline.hh"
+#include "bench/harness.hh"
+#include "codegen/cprinter.hh"
+#include "driver/compile_context.hh"
+#include "driver/registry.hh"
 #include "pres/fm.hh"
 #include "pres/row_hash.hh"
+#include "support/small_vec.hh"
 
 using namespace polyfuse;
 using namespace polyfuse::bench;
 
 namespace {
+
+/** One timed compilation (full pipeline, deps included). */
+struct PerfMeasurement
+{
+    double ms = 0;         ///< fastest rep's pipeline wall time
+    pres::fm::Counters fm; ///< that rep's context totals
+    std::string code;      ///< printCode of the produced AST
+};
+
+/** One side of the A/B comparison. */
+struct PerfVariant
+{
+    bool opCache = true;    ///< memoize Presburger operations
+    bool inlineRows = true; ///< false forces SmallVec rows to heap
+};
+
+/** Compile @p p (a registry workload's program) once per rep with
+ *  strategy "ours" and the workload's default tiles; keep the
+ *  fastest rep. The program is built by the caller, once, so reps
+ *  measure compilation only. */
+PerfMeasurement
+compileForPerf(const driver::WorkloadSpec &w, const ir::Program &p,
+               const PerfVariant &v, int reps)
+{
+    PerfMeasurement best;
+    best.ms = minOfReps(reps, [&](int rep) {
+        std::unique_ptr<support::ScopedForceHeap> heap;
+        if (!v.inlineRows)
+            heap.reset(new support::ScopedForceHeap());
+        driver::CompileContext ctx;
+        ctx.setOpCacheEnabled(v.opCache);
+        driver::PipelineOptions opts;
+        opts.strategy = Strategy::Ours;
+        opts.tileSizes = w.defaultTiles;
+        Timer t;
+        auto state = driver::Pipeline(opts).run(p, ctx);
+        double ms = t.milliseconds();
+        if (rep == 0 || ms < best.ms) {
+            best.ms = ms;
+            best.fm = ctx.fmCounters();
+            best.code = codegen::printCode(p, state.ast);
+        }
+        return ms;
+    });
+    return best;
+}
+
+/** Baseline vs optimized on one workload. */
+struct PerfComparison
+{
+    std::string name;
+    PerfMeasurement baseline;  ///< heap rows + cache off
+    PerfMeasurement optimized; ///< inline rows + cache on
+
+    double
+    speedup() const
+    {
+        return optimized.ms > 0 ? baseline.ms / optimized.ms : 0;
+    }
+
+    /** Optimized run's cache hit rate in [0, 1]. */
+    double
+    hitRate() const
+    {
+        double total = double(optimized.fm.cacheHits) +
+                       double(optimized.fm.cacheMisses);
+        return total > 0 ? optimized.fm.cacheHits / total : 0;
+    }
+
+    /** Byte-identical generated C (the correctness gate). */
+    bool identical() const { return baseline.code == optimized.code; }
+
+    std::string
+    json() const
+    {
+        return JsonObject()
+            .str("name", name)
+            .num("baselineMs", baseline.ms, "%.4f")
+            .num("optimizedMs", optimized.ms, "%.4f")
+            .num("speedup", speedup(), "%.4f")
+            .integer("fmElims", optimized.fm.eliminations)
+            .integer("fmRows", optimized.fm.constraintsVisited)
+            .integer("cacheHits", optimized.fm.cacheHits)
+            .integer("cacheMisses", optimized.fm.cacheMisses)
+            .num("cacheHitRate", hitRate(), "%.4f")
+            .boolean("identicalCode", identical())
+            .text();
+    }
+};
+
+/** Compare every registry workload, baseline then optimized, in
+ *  registry order. Sequential by construction (--jobs 1). */
+std::vector<PerfComparison>
+sweepRegistryPerf(int reps)
+{
+    std::vector<PerfComparison> out;
+    for (const auto &w : driver::workloadRegistry()) {
+        ir::Program p = w.make(w.defaults);
+        PerfComparison c;
+        c.name = w.name;
+        c.baseline = compileForPerf(w, p, {false, false}, reps);
+        c.optimized = compileForPerf(w, p, {true, true}, reps);
+        out.push_back(std::move(c));
+    }
+    return out;
+}
+
 
 /** Defeats dead-code elimination of the micro loops. */
 volatile uint64_t g_sink = 0;
@@ -203,55 +317,45 @@ runSmoke()
 int
 main(int argc, char **argv)
 {
-    bool smoke = false, json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else {
-            std::fprintf(stderr,
-                         "usage: bench_presburger [--smoke] "
-                         "[--json]\n");
-            return 2;
-        }
-    }
-    if (smoke)
+    Args args;
+    if (!parseArgs(argc, argv, "bench_presburger [--smoke] [--json]",
+                   args))
+        return 2;
+    if (args.smoke)
         return runSmoke();
 
+    Host host = Host::probe();
     std::vector<Micro> micro = runMicro(4);
     std::vector<PerfComparison> sweep = sweepRegistryPerf(3);
-    double geomean = geomeanSpeedup(sweep);
     bool all_identical = true;
-    for (const auto &c : sweep)
+    std::vector<double> speedups;
+    for (const auto &c : sweep) {
         all_identical = all_identical && c.identical();
+        speedups.push_back(c.speedup());
+    }
+    double geo = geomean(speedups);
 
-    if (json) {
-        std::string out = "{\"bench\": \"presburger\", ";
-        out += "\"jobs\": 1, \"micro\": [";
-        for (size_t i = 0; i < micro.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += "{\"name\": \"" + std::string(micro[i].name) +
-                   "\", \"nsPerOp\": " +
-                   fmt(micro[i].nsPerOp, "%.2f") +
-                   ", \"iters\": " + std::to_string(micro[i].iters) +
-                   "}";
-        }
-        out += "], \"workloads\": [";
-        for (size_t i = 0; i < sweep.size(); ++i) {
-            if (i)
-                out += ", ";
-            out += perfComparisonJson(sweep[i]);
-        }
-        out += "], \"geomeanSpeedup\": " + fmt(geomean, "%.4f");
-        out += ", \"allIdentical\": ";
-        out += all_identical ? "true" : "false";
-        out += "}";
-        std::printf("%s\n", out.c_str());
+    if (args.json) {
+        std::vector<std::string> micro_json, workloads;
+        for (const Micro &m : micro)
+            micro_json.push_back(JsonObject()
+                                     .str("name", m.name)
+                                     .num("nsPerOp", m.nsPerOp, "%.2f")
+                                     .integer("iters", m.iters)
+                                     .text());
+        for (const auto &c : sweep)
+            workloads.push_back(c.json());
+        JsonObject out = benchJson("presburger", host);
+        out.integer("jobs", 1)
+            .raw("micro", jsonArray(micro_json))
+            .raw("workloads", jsonArray(workloads))
+            .num("geomeanSpeedup", geo, "%.4f")
+            .boolean("allIdentical", all_identical);
+        std::printf("%s\n", out.text().c_str());
         return all_identical ? 0 : 1;
     }
 
+    host.print();
     std::printf("=== Presburger microkernels ===\n");
     for (const Micro &m : micro)
         printRow(m.name, {fmt(m.nsPerOp, "%.1f"), "ns/op"}, 12);
@@ -267,6 +371,6 @@ main(int argc, char **argv)
                   fmt(c.hitRate() * 100, "%.1f%%"),
                   c.identical() ? "identical" : "MISMATCH"},
                  10);
-    printRow("geomean", {"", "", fmt(geomean, "%.2fx")}, 10);
+    printRow("geomean", {"", "", fmt(geo, "%.2fx")}, 10);
     return all_identical ? 0 : 1;
 }

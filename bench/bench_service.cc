@@ -24,23 +24,20 @@
  * doubles as a correctness gate and exits nonzero on any mismatch,
  * unexpected error kind, or lost response.
  *
- * Modes:
- *   (none)    full sweep, aligned table on stdout
- *   --json    full sweep, one JSON object on stdout
- *   --smoke   a short burst with the same gates, well under 0.5 s;
- *             the check_service_smoke ctest runs this
+ * Modes (bench/harness.hh): table, --json, and --smoke — a short
+ * burst with the same gates; the check_service_smoke ctest runs
+ * this.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unistd.h>
 
-#include "bench/common.hh"
+#include "bench/harness.hh"
 #include "driver/artifact.hh"
 #include "driver/registry.hh"
 #include "exec/kernel_cache.hh"
@@ -280,6 +277,7 @@ retryPhase(SweepResult *r)
 int
 runSweep(bool smoke, bool json)
 {
+    Host host = Host::probe();
     const int clients = smoke ? 2 : 4;
     const int per_client = smoke ? 4 : 50;
     const int flood = smoke ? 6 : 24;
@@ -341,36 +339,30 @@ runSweep(bool smoke, bool json)
     double ping99 = percentile(r.pingMs, 0.99);
 
     if (json) {
-        std::string out = "{\"bench\": \"service\", ";
-        out += "\"workers\": 4, \"clients\": " +
-               std::to_string(clients);
-        out += ", \"requests\": " +
-               std::to_string(r.compileMs.size());
-        out += ", \"compileP50Ms\": " + fmt(p50, "%.4f");
-        out += ", \"compileP95Ms\": " + fmt(p95, "%.4f");
-        out += ", \"compileP99Ms\": " + fmt(p99, "%.4f");
-        out += ", \"pingP50Ms\": " + fmt(ping50, "%.4f");
-        out += ", \"pingP99Ms\": " + fmt(ping99, "%.4f");
-        out += ", \"meanQueueMs\": " + fmt(r.meanQueueMs, "%.4f");
-        out += ", \"cacheHits\": " + std::to_string(r.cacheHits);
-        out +=
-            ", \"serverAccepted\": " + std::to_string(stats.accepted);
-        out += ", \"floodRequests\": " + std::to_string(flood);
-        out += ", \"floodOk\": " + std::to_string(r.shedOk);
-        out += ", \"floodShed\": " + std::to_string(r.shedTyped);
-        out += ", \"recoveredAfterShed\": ";
-        out += r.recoveredAfterShed ? "true" : "false";
-        out += ", \"transientRetries\": " +
-               std::to_string(r.retryCount);
-        out += ", \"retryDegradedOk\": ";
-        out += r.retryDegradedOk ? "true" : "false";
-        out += ", \"allIdentical\": ";
-        out += ok ? "true" : "false";
-        out += "}";
-        std::printf("%s\n", out.c_str());
+        JsonObject out = benchJson("service", host);
+        out.integer("workers", 4)
+            .integer("clients", clients)
+            .integer("requests", r.compileMs.size())
+            .num("compileP50Ms", p50, "%.4f")
+            .num("compileP95Ms", p95, "%.4f")
+            .num("compileP99Ms", p99, "%.4f")
+            .num("pingP50Ms", ping50, "%.4f")
+            .num("pingP99Ms", ping99, "%.4f")
+            .num("meanQueueMs", r.meanQueueMs, "%.4f")
+            .integer("cacheHits", r.cacheHits)
+            .integer("serverAccepted", stats.accepted)
+            .integer("floodRequests", flood)
+            .integer("floodOk", r.shedOk)
+            .integer("floodShed", r.shedTyped)
+            .boolean("recoveredAfterShed", r.recoveredAfterShed)
+            .integer("transientRetries", r.retryCount)
+            .boolean("retryDegradedOk", r.retryDegradedOk)
+            .boolean("allIdentical", ok);
+        std::printf("%s\n", out.text().c_str());
         return ok ? 0 : 1;
     }
 
+    host.print();
     std::printf("=== Compile service (%d clients x %d warm "
                 "requests) ===\n",
                 clients, per_client);
@@ -402,17 +394,9 @@ runSweep(bool smoke, bool json)
 int
 main(int argc, char **argv)
 {
-    bool smoke = false, json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else {
-            std::fprintf(stderr,
-                         "usage: bench_service [--smoke] [--json]\n");
-            return 2;
-        }
-    }
-    return runSweep(smoke, json);
+    Args args;
+    if (!parseArgs(argc, argv, "bench_service [--smoke] [--json]",
+                   args))
+        return 2;
+    return runSweep(args.smoke, args.json);
 }

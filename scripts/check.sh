@@ -30,8 +30,11 @@
 #   scripts/check.sh --bench-only  build + run the perf baseline
 #                                  (scripts/bench_to_json.sh), writing
 #                                  BENCH_presburger.json,
-#                                  BENCH_compile_time.json and
-#                                  BENCH_runtime.json at the repo root
+#                                  BENCH_parallel.json,
+#                                  BENCH_backends.json,
+#                                  BENCH_cache.json,
+#                                  BENCH_service.json and
+#                                  BENCH_autotune.json at the repo root
 #
 # All modes use their own build directories and leave ./build alone.
 set -euo pipefail

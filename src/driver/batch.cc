@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "support/timer.hh"
@@ -130,7 +131,7 @@ BatchResult::json() const
         if (!first)
             out += ", ";
         first = false;
-        out += "{\"name\": \"" + jsonEscape(j.name) + "\", \"ok\": ";
+        out += "{\"name\": \"" + json::escape(j.name) + "\", \"ok\": ";
         out += j.ok ? "true" : "false";
         std::snprintf(buf, sizeof(buf), "%.4f", j.wallMs);
         out += ", \"wallMs\": " + std::string(buf);
@@ -158,7 +159,7 @@ BatchResult::json() const
                    std::to_string(j.artifact.fallbackTrail.size());
             out += ", \"stats\": " + j.artifact.stats.json();
         } else {
-            out += ", \"error\": \"" + jsonEscape(j.error) + "\"";
+            out += ", \"error\": \"" + json::escape(j.error) + "\"";
         }
         out += "}";
     }

@@ -3,35 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "support/json.hh"
+
 namespace polyfuse {
 namespace driver {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += char(c);
-            }
-        }
-    }
-    return out;
-}
 
 int64_t
 PassStat::counter(const std::string &key, int64_t fallback) const
@@ -109,7 +84,7 @@ PassStats::json() const
             out += ", ";
         first_pass = false;
         std::snprintf(buf, sizeof(buf), "%.4f", p.ms);
-        out += "{\"name\": \"" + jsonEscape(p.name) +
+        out += "{\"name\": \"" + json::escape(p.name) +
                "\", \"ms\": " + buf + ", \"counters\": {";
         // Key order must not depend on the order passes happened to
         // report counters in: sort (stably, so a duplicate key keeps
@@ -124,7 +99,7 @@ PassStats::json() const
             if (!first_counter)
                 out += ", ";
             first_counter = false;
-            out += "\"" + jsonEscape(name) +
+            out += "\"" + json::escape(name) +
                    "\": " + std::to_string(value);
         }
         out += "}}";

@@ -21,14 +21,6 @@
 namespace polyfuse {
 namespace driver {
 
-/**
- * Escape @p s for embedding inside a JSON string literal: quotes,
- * backslashes, and control characters (\uXXXX for the ones without a
- * short form). Shared by every JSON emitter in the driver so merged
- * batch reports stay machine-parseable whatever the labels contain.
- */
-std::string jsonEscape(const std::string &s);
-
 /** One executed pass: name, timing, counters (insertion order). */
 struct PassStat
 {

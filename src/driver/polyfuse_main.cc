@@ -37,8 +37,8 @@
 #include "service/server.hh"
 #include "support/budget.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/thread_pool.hh"
-#include "workloads/equake.hh"
 
 using namespace polyfuse;
 
@@ -676,16 +676,6 @@ main(int argc, char **argv)
     auto program =
         std::make_shared<const ir::Program>(spec->make(params));
 
-    auto fill_inputs = [&](exec::Buffers &buffers) {
-        if (program->name() == "equake") {
-            workloads::initEquakeInputs(*program, buffers, 11);
-        } else {
-            for (size_t t = 0; t < program->tensors().size(); ++t)
-                if (program->tensor(t).kind != ir::TensorKind::Temp)
-                    buffers.fillPattern(t, 1000 + t);
-        }
-    };
-
     // Plan stage: auto-tuned tile sizes first (they are part of the
     // artifact fingerprint), warm-started from the tuning store.
     std::unique_ptr<perfmodel::TuneDb> tune_db;
@@ -705,8 +695,12 @@ main(int argc, char **argv)
             aopts.searchTopK = search_top_k;
             aopts.compareOracle = search_report;
             aopts.db = tune_db.get();
-            tuned = perfmodel::autotuneTileSizes(*program, graph,
-                                                 fill_inputs, aopts);
+            tuned = perfmodel::autotuneTileSizes(
+                *program, graph,
+                [&](exec::Buffers &buffers) {
+                    service::fillServiceInputs(*program, buffers);
+                },
+                aopts);
             tuned_ok = true;
             opts.tileSizes = tuned.tileSizes;
             std::string tiles;
@@ -811,7 +805,7 @@ main(int argc, char **argv)
         // counters) into the one JSON object instead of dropping it.
         if (do_run) {
             exec::Buffers buffers(*program);
-            fill_inputs(buffers);
+            service::fillServiceInputs(*program, buffers);
             exec::ExecOptions eopts;
             eopts.tier = tier;
             eopts.threads = run_threads;
@@ -911,7 +905,7 @@ main(int argc, char **argv)
                 exec::tierName(tier), exec::tierName(result.tier));
             std::string run_json = buf;
             run_json += "\"fallbackReason\": \"" +
-                        driver::jsonEscape(result.fallbackReason) +
+                        json::escape(result.fallbackReason) +
                         "\", ";
             std::snprintf(buf, sizeof(buf),
                           "\"ms\": %.4f, \"instances\": %llu, "
@@ -941,7 +935,7 @@ main(int argc, char **argv)
             run_json += buf;
             run_json +=
                 "\"fallbackReason\": \"" +
-                driver::jsonEscape(result.parFallbackReason) +
+                json::escape(result.parFallbackReason) +
                 "\"}}";
             out.insert(out.size() - 1, run_json);
         }

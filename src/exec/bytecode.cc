@@ -807,9 +807,29 @@ class Machine
             st_.sink = sink;
             st_.traceBuf.resize(kTraceBatch);
         }
+        runRange<Traced>(0, int32_t(img_.insts.size()));
+        if (Traced)
+            flushTrace();
+        st_.stats.seconds = timer.seconds();
+        return st_.stats;
+    }
+
+    /**
+     * Execute the well-nested tape span [pc, end_pc), or up to Halt:
+     * the whole tape, the sequential glue of a parallel run (spans
+     * between tile regions, regions kept sequential) or the body
+     * slice of one tile. Untraced spans take the innermost-loop fast
+     * paths; traced ones step every statement so each access is
+     * recorded. Returns with the machine's storage stacks and fold
+     * state exactly as on entry (Alloc scopes inside the span are
+     * balanced).
+     */
+    template <bool Traced>
+    void
+    runRange(int32_t pc, int32_t end_pc)
+    {
         const Inst *insts = img_.insts.data();
-        int32_t pc = 0;
-        for (;;) {
+        while (pc != end_pc) {
             const Inst &in = insts[pc];
             switch (in.op) {
               case Op::ForBegin: {
@@ -861,78 +881,6 @@ class Machine
                 ++pc;
                 break;
               case Op::Halt:
-                if (Traced)
-                    flushTrace();
-                st_.stats.seconds = timer.seconds();
-                return st_.stats;
-            }
-        }
-    }
-
-    /**
-     * Untraced execution of the well-nested tape span
-     * [pc, end_pc): the sequential glue of a parallel run (spans
-     * between tile regions, regions kept sequential) and the body
-     * slice of one tile. Returns with the machine's storage stacks
-     * and fold state exactly as on entry (Alloc scopes inside the
-     * span are balanced).
-     */
-    void
-    runRange(int32_t pc, int32_t end_pc)
-    {
-        const Inst *insts = img_.insts.data();
-        while (pc != end_pc) {
-            const Inst &in = insts[pc];
-            switch (in.op) {
-              case Op::ForBegin: {
-                const Loop &loop = img_.loops[in.arg];
-                int64_t lo = evalBound(loop.lb, true);
-                int64_t hi = evalBound(loop.ub, false);
-                if (lo > hi) {
-                    pc = in.jump;
-                    break;
-                }
-                if (loop.nestInner >= 0) {
-                    runNest(loop, lo, hi);
-                    pc = in.jump;
-                    break;
-                }
-                if (loop.stmtBegin >= 0) {
-                    runInner(loop, lo, hi);
-                    pc = in.jump;
-                    break;
-                }
-                st_.vars[loop.var] = lo;
-                st_.loopHi[in.arg] = hi;
-                if (loop.parallel)
-                    ++st_.parallelDepth;
-                ++pc;
-                break;
-              }
-              case Op::ForEnd: {
-                const Loop &loop = img_.loops[in.arg];
-                if (++st_.vars[loop.var] <= st_.loopHi[in.arg]) {
-                    pc = in.jump;
-                    break;
-                }
-                if (loop.parallel)
-                    --st_.parallelDepth;
-                ++pc;
-                break;
-              }
-              case Op::Stmt:
-                execStmt<false>(img_.stmts[in.arg]);
-                ++pc;
-                break;
-              case Op::AllocEnter:
-                enterAlloc(img_.allocs[in.arg]);
-                ++pc;
-                break;
-              case Op::AllocExit:
-                exitAlloc(img_.allocs[in.arg]);
-                ++pc;
-                break;
-              case Op::Halt:
                 return;
             }
         }
@@ -951,7 +899,7 @@ class Machine
             st_.vars[img_.loops[r.loops[k]].var] = coords[k];
         int saved = st_.parallelDepth;
         st_.parallelDepth = saved + r.coincidentLevels;
-        runRange(r.bodyBegin, r.bodyEnd);
+        runRange<false>(r.bodyBegin, r.bodyEnd);
         st_.parallelDepth = saved;
     }
 
@@ -1782,11 +1730,11 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
         const TileRegion &r = img.tileRegions[ri];
         RegionPlan &p = plans[ri];
         size_t L = r.loops.size();
-        main.runRange(cursor, r.beginPc);
+        main.runRange<false>(cursor, r.beginPc);
         cursor = r.endPc;
         if (p.mode == RegionMode::Sequential) {
             ++par.regionsSequential;
-            main.runRange(r.beginPc, r.endPc);
+            main.runRange<false>(r.beginPc, r.endPc);
             continue;
         }
         ++par.regionsParallel;
@@ -1923,7 +1871,7 @@ BytecodeKernel::runParallel(Buffers &buffers, unsigned threads,
         }
     }
     // Trailing sequential span up to (not including) Halt.
-    main.runRange(cursor, int32_t(img.insts.size()) - 1);
+    main.runRange<false>(cursor, int32_t(img.insts.size()) - 1);
 
     addStats(main.stats(), total);
     main.stats().seconds = timer.seconds();

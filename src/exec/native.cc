@@ -85,18 +85,27 @@ struct ScratchScope
     std::vector<std::string> ext;    ///< per-dim extent variables
 };
 
+/** The fully-parallel band ids of @p bands (empty without proof). */
+std::set<int>
+fullyParallelBands(const std::vector<deps::TileBandGraph> *bands)
+{
+    std::set<int> out;
+    if (bands)
+        for (const auto &b : *bands)
+            if (b.cls == deps::TileBandClass::FullyParallel)
+                out.insert(b.bandId);
+    return out;
+}
+
 class Emitter
 {
   public:
     Emitter(const Program &p, NativeParMode mode, unsigned threads,
             const std::vector<deps::TileBandGraph> *bands)
-        : prog_(p), mode_(mode), threads_(threads)
+        : prog_(p), mode_(mode), threads_(threads),
+          par_bands_(fullyParallelBands(bands))
     {
         scratch_.resize(p.tensors().size());
-        if (bands)
-            for (const auto &b : *bands)
-                if (b.cls == deps::TileBandClass::FullyParallel)
-                    par_bands_.insert(b.bandId);
     }
 
     std::string
@@ -826,18 +835,6 @@ cxxCompilerPath()
         }
     }
     return path;
-}
-
-/** The fully-parallel band ids of @p bands (empty without proof). */
-std::set<int>
-fullyParallelBands(const std::vector<deps::TileBandGraph> *bands)
-{
-    std::set<int> out;
-    if (bands)
-        for (const auto &b : *bands)
-            if (b.cls == deps::TileBandClass::FullyParallel)
-                out.insert(b.bandId);
-    return out;
 }
 
 /** Top-level (not under any For/Alloc) level-0 tile loops whose

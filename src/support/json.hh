@@ -66,7 +66,9 @@ struct Value
 bool parse(const std::string &text, Value *out,
            std::string *error = nullptr);
 
-/** JSON string escaping (shared spelling with driver::jsonEscape). */
+/** Escape @p s for embedding inside a JSON string literal: quotes,
+ *  backslashes, and control characters (\uXXXX for the ones without
+ *  a short form). Shared by every JSON emitter in the repo. */
 std::string escape(const std::string &s);
 
 } // namespace json
