@@ -13,7 +13,8 @@
  *          lookup only, the whole Presburger/codegen pipeline is
  *          skipped)
  *
- * Besides compile wall-clock (warm is best of reps), every variant's
+ * Besides compile wall-clock (warm is the median per-lookup time over
+ * reads of >= 1 ms batches), every variant's
  * artifact is executed and the output buffers compared bit-for-bit
  * against the cache-off reference — the benchmark doubles as a
  * correctness gate and exits nonzero on any mismatch, missed warm
@@ -34,12 +35,15 @@ using namespace polyfuse::bench;
 
 namespace {
 
+/** Timer reads behind each warm row (each a >= 1 ms batch). */
+constexpr int kWarmReads = 9;
+
 struct CacheTimes
 {
     std::string name;
     double offCompileMs = 0;  ///< no cache
     double coldCompileMs = 0; ///< miss (compile + insert)
-    double warmCompileMs = 0; ///< hit (lookup only), best of reps
+    double warmCompileMs = 0; ///< hit (lookup only), median per lookup
     bool warmHit = false;     ///< the repeat compile was a hit
     bool warmPipelineFree = false; ///< hit ran no pipeline pass
     bool identical = true;    ///< all variants match cache-off bits
@@ -74,7 +78,7 @@ runArtifact(const driver::KernelArtifact &artifact,
 
 CacheTimes
 measureWorkload(const driver::WorkloadSpec &spec,
-                const driver::WorkloadParams &params, int reps,
+                const driver::WorkloadParams &params, int reads,
                 exec::KernelCache &cache)
 {
     CacheTimes r;
@@ -98,13 +102,24 @@ measureWorkload(const driver::WorkloadSpec &spec,
     auto cold = driver::compileKernel(pipeline, p, aopts);
     r.coldCompileMs = t_cold.milliseconds();
 
-    // Warm: repeat compiles are pure lookups; take the best.
+    // Warm: repeat compiles are pure lookups of a few tens of
+    // microseconds, too short for one timer read each. Each read
+    // times a batch of them (doubled until it takes 1 ms); the row
+    // keeps the median per-lookup time over the reads.
     driver::KernelArtifact warm;
-    r.warmCompileMs = minOfReps(reps, [&](int) {
-        Timer t_warm;
-        warm = driver::compileKernel(pipeline, p, aopts);
-        return t_warm.milliseconds();
-    });
+    auto lookups = [&](int n) {
+        Timer t;
+        for (int i = 0; i < n; ++i)
+            warm = driver::compileKernel(pipeline, p, aopts);
+        return t.milliseconds();
+    };
+    int batch = 1;
+    while (lookups(batch) < 1.0)
+        batch *= 2;
+    std::vector<double> per_lookup;
+    for (int read = 0; read < reads; ++read)
+        per_lookup.push_back(lookups(batch) / batch);
+    r.warmCompileMs = median(per_lookup);
     r.warmHit = warm.fromCache;
     r.warmPipelineFree = warm.stats.passes().size() == 1 &&
                          warm.stats.passes()[0].name == "KernelCache";
@@ -191,7 +206,7 @@ main(int argc, char **argv)
     std::vector<CacheTimes> rows;
     for (const auto &w : driver::workloadRegistry())
         rows.push_back(
-            measureWorkload(w, benchParams(w.name), 5, cache));
+            measureWorkload(w, benchParams(w.name), kWarmReads, cache));
 
     bool all_ok = true;
     std::vector<double> speedups;
@@ -208,7 +223,7 @@ main(int argc, char **argv)
             workloads.push_back(rowJson(r));
         JsonObject out = benchJson("cache", host);
         out.str("strategy", "ours")
-            .integer("warmReps", 5)
+            .integer("warmReads", kWarmReads)
             .raw("workloads", jsonArray(workloads))
             .num("geomeanWarmSpeedup", geo, "%.1f")
             .integer("cacheHits", c.hits)
@@ -222,8 +237,9 @@ main(int argc, char **argv)
     }
 
     host.print();
-    std::printf("=== Kernel cache (strategy ours, warm best of 5) "
-                "===\n");
+    std::printf("=== Kernel cache (strategy ours, warm median of %d "
+                "batched reads) ===\n",
+                kWarmReads);
     printRow("workload",
              {"off ms", "cold ms", "warm ms", "speedup", "warm",
               "buffers"},

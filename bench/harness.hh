@@ -252,7 +252,8 @@ bitIdentical(const ir::Program &p, const exec::Buffers &ref,
 /**
  * The fastest of @p reps runs: @p run(rep) performs rep number
  * `rep` and returns its milliseconds. Every `"ms"` a bench commits
- * is this minimum.
+ * is this minimum, except bench_cache's warm lookups (a median of
+ * batched reads).
  */
 template <class Run>
 double
@@ -262,6 +263,16 @@ minOfReps(int reps, Run &&run)
     for (int rep = 0; rep < reps; ++rep)
         best = std::min(best, double(run(rep)));
     return best;
+}
+
+/** Median of @p v (0 when empty; the upper middle for even sizes). */
+inline double
+median(std::vector<double> v)
+{
+    if (v.empty())
+        return 0;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
 }
 
 /** Geometric mean of the positive entries of @p v (0 when none). */

@@ -7,7 +7,8 @@
  * parameters (exactly what CLooG-family generators emit for the
  * band forms this library produces). Statement nodes carry the
  * binding of original domain dimensions to loop variables plus
- * residual guard constraints for union-bound overshoot.
+ * residual guard constraints for union-bound overshoot: the domain
+ * rows the enclosing loops do not already enforce.
  */
 
 #ifndef POLYFUSE_CODEGEN_AST_HH
@@ -28,6 +29,8 @@ struct BoundTerm
     std::vector<int64_t> paramCoeffs; ///< dense, one per program param
     int64_t constant = 0;
     int64_t div = 1;
+
+    bool operator==(const BoundTerm &) const = default;
 };
 
 /**

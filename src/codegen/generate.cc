@@ -35,6 +35,18 @@ struct StmtCtx
     std::vector<int64_t> offset;   ///< dim = var + offset
 };
 
+/**
+ * An inequality vars . (loop vars) + constant >= 0 with the program
+ * parameters fixed to their values, divided by the gcd of its var
+ * coefficients, trailing zero coefficients dropped (so rows built at
+ * different loop depths compare equal).
+ */
+struct FoldedRow
+{
+    std::vector<int64_t> vars;
+    int64_t constant = 0;
+};
+
 /** Whole-scan context; copied down tree branches. */
 struct GenCtx
 {
@@ -46,6 +58,9 @@ struct GenCtx
     std::vector<std::string> varNames;
     std::vector<StmtCtx> active;
     std::vector<int> bandVars; ///< loop var per enclosing band dim
+    /** Rows every enclosing loop enforces at each of its iterations:
+     *  a statement guard that one of them implies is not emitted. */
+    std::vector<FoldedRow> loopRows;
     /** Shared tile-band side table (nullable); bands append in visit
      *  order, so an entry's index is its id. Shared across the copied
      *  contexts of sibling branches on purpose. */
@@ -59,6 +74,72 @@ unsigned
 numParams(const GenCtx &ctx)
 {
     return ctx.prog->params().size();
+}
+
+/**
+ * Fold vars . (loop vars) + params . (program params) + k >= 0 into a
+ * FoldedRow. The parameters are fixed to their values for the reason
+ * fixedFootprint gives: the AST is only ever run at them.
+ */
+FoldedRow
+foldRow(const GenCtx &ctx, std::vector<int64_t> vars,
+        const std::vector<int64_t> &params, int64_t k)
+{
+    const auto &names = ctx.prog->params();
+    for (unsigned p = 0; p < names.size(); ++p)
+        k += params[p] * ctx.prog->paramValue(names[p]);
+    while (!vars.empty() && vars.back() == 0)
+        vars.pop_back();
+    int64_t g = 0;
+    for (int64_t c : vars)
+        g = gcd(g, c);
+    if (g > 1) {
+        for (int64_t &c : vars)
+            c /= g;
+        k = floorDiv(k, g);
+    }
+    return {std::move(vars), k};
+}
+
+/** The row bound term @p t of loop var @p v enforces:
+ *  div*v - e >= 0 (@p lower) or e - div*v >= 0. */
+FoldedRow
+termRow(const GenCtx &ctx, const BoundTerm &t, int v, bool lower)
+{
+    int64_t sign = lower ? -1 : 1;
+    std::vector<int64_t> vars(t.varCoeffs.size()), params;
+    for (size_t i = 0; i < vars.size(); ++i)
+        vars[i] = sign * t.varCoeffs[i];
+    vars[v] -= sign * t.div;
+    for (int64_t c : t.paramCoeffs)
+        params.push_back(sign * c);
+    return foldRow(ctx, std::move(vars), params, sign * t.constant);
+}
+
+/** True when guard @p g holds wherever the enclosing loops run: it
+ *  is true at the parameter values, or a loop row has its variable
+ *  part and a constant no larger. */
+bool
+loopImplied(const GenCtx &ctx, const GuardRow &g)
+{
+    if (g.isEq)
+        return false;
+    FoldedRow r = foldRow(ctx, g.varCoeffs, g.paramCoeffs, g.constant);
+    if (r.vars.empty())
+        return r.constant >= 0;
+    for (const FoldedRow &l : ctx.loopRows)
+        if (l.vars == r.vars && l.constant <= r.constant)
+            return true;
+    return false;
+}
+
+/** Append @p alt to a min/max over alternatives unless an equal one
+ *  is already there: a copy does not change the bound. */
+void
+addAlt(std::vector<BoundAlt> &alts, BoundAlt alt)
+{
+    if (std::find(alts.begin(), alts.end(), alt) == alts.end())
+        alts.push_back(std::move(alt));
 }
 
 /** Make a fresh StmtCtx from a statement's domain constraints. */
@@ -303,8 +384,8 @@ genBand(const NodePtr &band, GenCtx ctx, const GenOptions &options)
                 continue;
             if (st == BoundStatus::Unbounded)
                 panic("unbounded loop in code generation");
-            loop->lb.push_back(std::move(lo));
-            loop->ub.push_back(std::move(hi));
+            addAlt(loop->lb, std::move(lo));
+            addAlt(loop->ub, std::move(hi));
         }
         if (loop->lb.empty()) {
             // Nothing executes here: the loops built so far are
@@ -312,6 +393,16 @@ genBand(const NodePtr &band, GenCtx ctx, const GenOptions &options)
             if (band_id >= 0)
                 bands->pop_back();
             return astBlock();
+        }
+        // A side with one alternative is the max (lower) or min
+        // (upper) of its terms, so every term holds at every
+        // iteration.
+        for (bool lower : {true, false}) {
+            const std::vector<BoundAlt> &alts =
+                lower ? loop->lb : loop->ub;
+            if (alts.size() == 1)
+                for (const BoundTerm &t : alts[0])
+                    ctx.loopRows.push_back(termRow(ctx, t, v, lower));
         }
 
         if (!outer) {
@@ -455,8 +546,8 @@ addBoxAlternative(const GenCtx &ctx,
             }
         }
         if (!lo.empty() && !hi.empty()) {
-            promo.boxLo[j].push_back(std::move(lo));
-            promo.boxHi[j].push_back(std::move(hi));
+            addAlt(promo.boxLo[j], std::move(lo));
+            addAlt(promo.boxHi[j], std::move(hi));
         }
     }
 }
@@ -698,7 +789,8 @@ genLeaf(GenCtx &ctx)
                       ctx.prog->statement(sc.stmt).name());
             stmt->bindings.emplace_back(sc.binding[d], sc.offset[d]);
         }
-        // Guards: substitute dims with their bindings.
+        // Guards: substitute dims with their bindings, then keep the
+        // rows the enclosing loops do not already enforce.
         std::vector<Constraint> rows = sc.rows;
         for (auto &row : rows) {
             for (unsigned d = 0; d < sc.ndims; ++d) {
@@ -722,7 +814,8 @@ genLeaf(GenCtx &ctx)
             for (unsigned p = 0; p < np; ++p)
                 g.paramCoeffs[p] = row.coeffs[ctx.numVars + sc.ndims + p];
             g.constant = row.coeffs.back();
-            stmt->guards.push_back(std::move(g));
+            if (!loopImplied(ctx, g))
+                stmt->guards.push_back(std::move(g));
         }
         block->children.push_back(std::move(stmt));
     }

@@ -174,6 +174,32 @@ TEST_F(ConvCodegen, GuardsAppearForUnionBounds)
     EXPECT_GT(guarded, 0u);
 }
 
+TEST(LoopImpliedGuards, HarrisRunsEveryStatementUnguarded)
+{
+    // Every domain row of harris's statements is a bound of a loop
+    // around them or true at its sizes, so no Stmt node keeps a
+    // guard.
+    const driver::WorkloadSpec *spec = driver::findWorkload("harris");
+    ASSERT_NE(spec, nullptr);
+    ir::Program p = spec->make(spec->defaults);
+    driver::PipelineOptions popts;
+    popts.tileSizes = spec->defaultTiles;
+    auto state = driver::Pipeline(popts).run(p);
+    unsigned stmts = 0, guarded = 0;
+    std::function<void(const AstPtr &)> walk =
+        [&](const AstPtr &n) {
+            if (n->kind == AstKind::Stmt) {
+                ++stmts;
+                guarded += !n->guards.empty();
+            }
+            for (const auto &c : n->children)
+                walk(c);
+        };
+    walk(state.ast);
+    EXPECT_GT(stmts, 0u);
+    EXPECT_EQ(guarded, 0u);
+}
+
 // ------------------------------------------------------------------
 // Static promotion coverage: every Promotion box contains the read
 // and write footprint of its scope, proven with pres set inclusion
@@ -213,19 +239,21 @@ class BoxCoverage
             paramValues_.push_back(p.paramValue(name));
     }
 
-    /** The cells access @p acc of Stmt node @p n touches, at the
-     *  loop-var values where its guards hold, inner vars projected
-     *  out. */
+    /** The cells access @p acc of Stmt node @p n touches at the
+     *  instances it runs: the loop-var values @p loops (every For
+     *  node around @p n) admit and its remaining guards hold. Inner
+     *  vars are projected out. */
     pres::Set
-    footprint(const AstNode &n, const ir::Access &acc) const
+    footprint(const AstNode &n, const ir::Access &acc,
+              const std::vector<const AstNode *> &loops) const
     {
-        pres::BasicSet set(space_);
+        pres::BasicSet base(space_);
         for (const auto &g : n.guards) {
             pres::Constraint c(g.isEq, row());
             for (size_t v = 0; v < g.varCoeffs.size(); ++v)
                 c.coeffs[col_[v]] = g.varCoeffs[v];
             c.coeffs.back() = g.constant + paramSum(g.paramCoeffs);
-            set.addConstraint(c);
+            base.addConstraint(c);
         }
         const pres::Space &asp = acc.rel.space();
         for (const auto &ac : acc.rel.constraints()) {
@@ -243,10 +271,18 @@ class BoxCoverage
                 k += ac.coeffs[asp.paramCol(q)] *
                      prog_.paramValue(asp.params()[q]);
             c.coeffs.back() = k;
-            set.addConstraint(c);
+            base.addConstraint(c);
+        }
+        pres::Set set(base);
+        for (const AstNode *loop : loops) {
+            set = set.intersect(loopSide(*loop, true));
+            set = set.intersect(loopSide(*loop, false));
         }
         // Projection over-approximates at worst: still sound here.
-        return pres::Set(set.projectOut(rank_, inner_));
+        pres::Set out;
+        for (const auto &piece : set.pieces())
+            out.addPiece(piece.projectOut(rank_, inner_));
+        return out;
     }
 
     /** The cells dim @p d of the box admits from below (@p lower)
@@ -282,6 +318,31 @@ class BoxCoverage
   private:
     pres::CoeffRow row() const { return pres::CoeffRow(width_, 0); }
 
+    /** The values For node @p loop gives its var from below
+     *  (@p lower) or above: a union over the bound's alternatives,
+     *  each the conjunction of its terms. */
+    pres::Set
+    loopSide(const AstNode &loop, bool lower) const
+    {
+        int64_t sign = lower ? -1 : 1;
+        pres::Set out;
+        for (const auto &alt : lower ? loop.lb : loop.ub) {
+            pres::BasicSet piece(space_);
+            for (const auto &t : alt) {
+                // lower: div*v - e >= 0; upper: e - div*v >= 0.
+                pres::Constraint c(false, row());
+                for (size_t v = 0; v < t.varCoeffs.size(); ++v)
+                    c.coeffs[col_[v]] = sign * t.varCoeffs[v];
+                c.coeffs[col_[loop.var]] -= sign * t.div;
+                c.coeffs.back() =
+                    sign * (t.constant + paramSum(t.paramCoeffs));
+                piece.addConstraint(c);
+            }
+            out.addPiece(piece);
+        }
+        return out;
+    }
+
     int64_t
     paramSum(const std::vector<int64_t> &coeffs) const
     {
@@ -300,34 +361,26 @@ class BoxCoverage
     std::vector<int64_t> paramValues_;
 };
 
-/** Stmt nodes under @p n. */
-void
-collectStmtNodes(const AstPtr &n, std::vector<const AstNode *> &out)
-{
-    if (!n)
-        return;
-    if (n->kind == AstKind::Stmt)
-        out.push_back(n.get());
-    for (const auto &c : n->children)
-        collectStmtNodes(c, out);
-}
+/** Nodes paired with the For nodes around each. */
+using NodesInLoops =
+    std::vector<std::pair<const AstNode *, std::vector<const AstNode *>>>;
 
-/** Alloc nodes under @p n, each with the loop vars enclosing it. */
+/** Nodes of @p kind under @p n, each with the For nodes around it
+ *  (@p loops holds those around @p n). */
 void
-collectAllocs(const AstPtr &n, std::vector<int> &vars,
-              std::vector<std::pair<const AstNode *, std::vector<int>>>
-                  &out)
+collectNodes(const AstPtr &n, AstKind kind,
+             std::vector<const AstNode *> &loops, NodesInLoops &out)
 {
     if (!n)
         return;
-    if (n->kind == AstKind::Alloc)
-        out.emplace_back(n.get(), vars);
+    if (n->kind == kind)
+        out.emplace_back(n.get(), loops);
     if (n->kind == AstKind::For)
-        vars.push_back(n->var);
+        loops.push_back(n.get());
     for (const auto &c : n->children)
-        collectAllocs(c, vars, out);
+        collectNodes(c, kind, loops, out);
     if (n->kind == AstKind::For)
-        vars.pop_back();
+        loops.pop_back();
 }
 
 TEST(PromotionBoxes, CoverEveryAccessOfTheirScopeOnTheRegistry)
@@ -342,14 +395,16 @@ TEST(PromotionBoxes, CoverEveryAccessOfTheirScopeOnTheRegistry)
             popts.tileSizes = spec.defaultTiles;
             auto state = driver::Pipeline(popts).run(p);
             unsigned nv = unsigned(std::max(state.ast->numLoopVars, 0));
-            std::vector<int> vars;
-            std::vector<std::pair<const AstNode *, std::vector<int>>>
-                allocs;
-            collectAllocs(state.ast, vars, allocs);
-            for (const auto &[alloc, outer] : allocs) {
-                std::vector<const AstNode *> stmts;
+            std::vector<const AstNode *> loops;
+            NodesInLoops allocs;
+            collectNodes(state.ast, AstKind::Alloc, loops, allocs);
+            for (auto &[alloc, around] : allocs) {
+                std::vector<int> outer;
+                for (const AstNode *loop : around)
+                    outer.push_back(loop->var);
+                NodesInLoops stmts;
                 for (const auto &c : alloc->children)
-                    collectStmtNodes(c, stmts);
+                    collectNodes(c, AstKind::Stmt, around, stmts);
                 for (const Promotion &promo : alloc->promotions) {
                     unsigned rank = p.tensor(promo.tensor).rank;
                     SCOPED_TRACE(std::string(spec.name) + " / " +
@@ -363,12 +418,13 @@ TEST(PromotionBoxes, CoverEveryAccessOfTheirScopeOnTheRegistry)
                         sides.push_back(
                             cov.side(promo.boxHi[d], d, false));
                     }
-                    for (const AstNode *n : stmts) {
+                    for (const auto &[n, stmt_loops] : stmts) {
                         const ir::Statement &s = p.statement(n->stmt);
                         for (const auto &acc : s.accesses()) {
                             if (acc.tensor != promo.tensor)
                                 continue;
-                            pres::Set fp = cov.footprint(*n, acc);
+                            pres::Set fp =
+                                cov.footprint(*n, acc, stmt_loops);
                             for (const pres::Set &side : sides)
                                 EXPECT_TRUE(fp.isSubset(side))
                                     << s.name() << " escapes the box";

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -480,6 +482,73 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param);
     });
 
+/**
+ * |domain of @p s| at the program's parameter values, counted by
+ * testing every point of the domain's bounding box for membership.
+ */
+uint64_t
+domainSize(const ir::Program &p, const ir::Statement &s)
+{
+    const auto &dom = s.domain();
+    unsigned nd = s.numDims();
+    std::vector<int64_t> lo(nd), hi(nd);
+    for (unsigned d = 0; d < nd; ++d)
+        if (!dom.dimBounds(d, p.paramValues(), lo[d], hi[d]))
+            return 0; // empty
+    uint64_t count = 0;
+    std::vector<int64_t> x = lo;
+    for (bool more = true; more;) {
+        count += dom.contains(x, p.paramValues());
+        more = false;
+        for (unsigned d = nd; d-- > 0 && !more;) {
+            more = ++x[d] <= hi[d];
+            if (!more)
+                x[d] = lo[d];
+        }
+    }
+    return count;
+}
+
+TEST(InstanceCount, StrategiesWithoutRecomputeRunEachDomainPointOnce)
+{
+    // Without recomputation every statement instance runs exactly
+    // once, whichever guards codegen emits: the interpreter's count
+    // is the sum of the domain sizes, which this test enumerates
+    // itself. A guard dropped that the loops do not imply runs
+    // extra instances; one kept wrongly changes nothing here, and
+    // the differential tests compare the tiers.
+    auto check = [](const driver::WorkloadSpec &spec,
+                    const driver::WorkloadParams &sizes,
+                    std::vector<int64_t> tiles,
+                    driver::Strategy strategy) {
+        SCOPED_TRACE(std::string(spec.name) + " / " +
+                     driver::strategyName(strategy));
+        ir::Program p = spec.make(sizes);
+        uint64_t domain = 0;
+        for (const auto &s : p.statements())
+            domain += domainSize(p, s);
+        driver::PipelineOptions popts;
+        popts.strategy = strategy;
+        popts.tileSizes = std::move(tiles);
+        auto state = driver::Pipeline(popts).run(p);
+        Buffers buf(p);
+        initInputs(p, buf);
+        EXPECT_EQ(run(p, state.ast, buf).instances, domain);
+    };
+    // Naive at the registry sizes; the fusing strategies at the
+    // reduced sizes, where tiles are partial.
+    for (const auto &spec : driver::workloadRegistry()) {
+        check(spec, spec.defaults, spec.defaultTiles,
+              driver::Strategy::Naive);
+        for (driver::Strategy strategy :
+             {driver::Strategy::MinFuse, driver::Strategy::SmartFuse,
+              driver::Strategy::MaxFuse, driver::Strategy::Hybrid,
+              driver::Strategy::Halide})
+            check(spec, smallParams(spec.name), smallTiles(spec),
+                  strategy);
+    }
+}
+
 /** Compile @p name under @p strategy at a reduced size; out-params
  *  the program and state. */
 driver::CompilationState
@@ -905,6 +974,68 @@ TEST(NativeTier, StagesUnderTmpdirAndCleansUp)
     NativeKernel missing = compileUnder(dir + "/missing");
     EXPECT_FALSE(missing.ok());
     EXPECT_EQ(missing.reason(), "mkdtemp failed");
+}
+
+TEST(NativeTier, EmittedKernelsCompileWarningFree)
+{
+    // Every registry kernel, sequential and (when the OpenMP probe
+    // passes) as a 2-thread team, passes the C front end with its
+    // common warnings as errors: a name the emitter declares but no
+    // longer uses (say, a parameter only a dropped guard read) fails.
+    if (!NativeKernel::toolchainAvailable())
+        GTEST_SKIP() << "no C toolchain on this machine";
+    std::string cc;
+    std::vector<std::string> candidates;
+    if (const char *env = std::getenv("CC"))
+        candidates.push_back(env);
+    candidates.insert(candidates.end(), {"cc", "gcc", "clang"});
+    for (const auto &c : candidates)
+        if (cc.empty() &&
+            std::system((c + " --version > /dev/null 2>&1").c_str()) ==
+                0)
+            cc = c;
+    ASSERT_FALSE(cc.empty());
+    std::vector<NativeParMode> modes{NativeParMode::Seq};
+    if (NativeKernel::parallelToolchain() == NativeParMode::Omp)
+        modes.push_back(NativeParMode::Omp);
+
+    const char *tmpdir = std::getenv("TMPDIR");
+    std::string tmpl = (tmpdir && *tmpdir ? std::string(tmpdir)
+                                          : std::string("/tmp")) +
+                       "/pf_werror_XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    ASSERT_NE(mkdtemp(buf.data()), nullptr);
+    const std::string path = std::string(buf.data()) + "/kernel.c";
+
+    for (const driver::WorkloadSpec &spec : driver::workloadRegistry()) {
+        ir::Program p = spec.make(spec.defaults);
+        driver::PipelineOptions popts;
+        popts.tileSizes = spec.defaultTiles;
+        auto state = driver::Pipeline(popts).run(p);
+        for (NativeParMode mode : modes) {
+            {
+                std::ofstream f(path);
+                f << emitNativeSource(p, state.ast, mode, 2,
+                                      &state.tileBands);
+            }
+            std::string cmd =
+                cc + " -Wall -Wextra -Werror -fsyntax-only" +
+                (mode == NativeParMode::Omp ? " -fopenmp" : "") + " " +
+                path + " 2>&1";
+            std::string out;
+            FILE *pipe = popen(cmd.c_str(), "r");
+            ASSERT_NE(pipe, nullptr);
+            char chunk[512];
+            while (size_t n = fread(chunk, 1, sizeof chunk, pipe))
+                out.append(chunk, n);
+            EXPECT_EQ(pclose(pipe), 0)
+                << spec.name << " / " << nativeParModeName(mode)
+                << ":\n" << out;
+        }
+    }
+    std::remove(path.c_str());
+    rmdir(buf.data());
 }
 
 // ------------------------------------------------------------------
